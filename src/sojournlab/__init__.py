@@ -15,8 +15,8 @@ from .sojourn import (LevelResult, SojournProfile, batch_levels,
                       level_for_sojourn, level_rank, reduction_quadrature,
                       sojourn_profile, sojourn_time, supremum)
 from .mc import (DEFAULT_CHUNK, LineFit, NumericFailure, chunked_mean,
-                 chunked_mean_vec, derive_seed, fit_line, stream_ids,
-                 substream, wilson_interval)
+                 derive_seed, fit_line, stream_ids, substream,
+                 wilson_interval)
 from .berman import (DEFAULT_LIMIT_SCHEDULE, NO_DRIFT, ConstantEstimate,
                      DomainRule, berman_curve_1d, berman_curve_2d,
                      brownian_sup_oracle, estimate_berman_1d,

@@ -9,6 +9,7 @@ experiment is deterministic given (settings, seed) and never shares RNG
 streams with the constant estimates it is compared against.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ class Stationary1D(ScalingFamily):
     alpha: float
 
     def __post_init__(self):
-        _check_local(self.a, self.alpha)
+        StationaryExp1D(self.a, self.alpha)  # a > 0, alpha in (0, 2]
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,7 @@ class Stationary2D(ScalingFamily):
     alpha2: float
 
     def __post_init__(self):
-        _check_local(self.a1, self.alpha1)
-        _check_local(self.a2, self.alpha2)
+        StationaryExp2D(self.a1, self.a2, self.alpha1, self.alpha2)
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,9 @@ class OnePoint2D(ScalingFamily):
     beta2: float
 
     def __post_init__(self):
-        _check_local(self.a1, self.alpha1)
-        _check_local(self.a2, self.alpha2)
-        for b, beta in ((self.b1, self.beta1), (self.b2, self.beta2)):
-            if b <= 0 or beta <= 0:
-                raise ValueError("b_i and beta_i must be > 0")
+        ScaledVariance2D(StationaryExp2D(self.a1, self.a2, self.alpha1,
+                                         self.alpha2),
+                         self.b1, self.b2, self.beta1, self.beta2)
 
     def axis_table(self, i):
         """(hat_alpha, drift_coef) for axis i per the alpha/beta ordering."""
@@ -96,9 +94,7 @@ class ChiFamily(ScalingFamily):
     m: int = 1
 
     def __post_init__(self):
-        _check_local(self.a, self.alpha)
-        if self.m < 1:
-            raise ValueError("degree m must be >= 1")
+        Chi(self.m, StationaryExp1D(self.a, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -108,50 +104,42 @@ class QueueFamily(ScalingFamily):
     c: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 2.0):
-            raise ValueError("queue alpha must lie in (0, 2)")
-        if self.c <= 0:
-            raise ValueError("service rate c must be > 0")
-
-    @property
-    def tau_star(self):
-        return self.alpha / (self.c * (2.0 - self.alpha))
+        Queue(self.alpha, self.c)  # alpha in (0, 2), c > 0
 
 
-def _check_local(a, alpha):
-    if a <= 0:
-        raise ValueError("local scale a must be > 0")
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must lie in (0, 2]")
+def _axis_scales(family, u):
+    """Local scale a^(-1/alpha) u^(-2/alpha) of each axis at level u.
+
+    On a OnePoint2D axis whose variance decays faster than its correlation
+    (beta < alpha) the decay sets the scale, u^(-2/beta): the exponent
+    1/alpha* of a is zero there.
+    """
+    if isinstance(family, (Stationary1D, ChiFamily)):
+        axes = [(family.a, family.alpha, math.inf)]
+    elif isinstance(family, Stationary2D):
+        axes = [(family.a1, family.alpha1, math.inf),
+                (family.a2, family.alpha2, math.inf)]
+    elif isinstance(family, OnePoint2D):
+        axes = [(family.a1, family.alpha1, family.beta1),
+                (family.a2, family.alpha2, family.beta2)]
+    else:
+        raise TypeError(f"unknown scaling family {type(family).__name__}")
+    return [a ** (-1.0 / alpha) * u ** (-2.0 / alpha) if alpha <= beta
+            else u ** (-2.0 / beta) for a, alpha, beta in axes]
 
 
 def scaling_function(family, u):
     """Volume scale v(u) of the conditional sojourn limit for the family."""
     if u <= 0:
         raise ValueError("u must be > 0")
-    if isinstance(family, (Stationary1D, ChiFamily)):
-        return family.a ** (-1.0 / family.alpha) * u ** (-2.0 / family.alpha)
-    if isinstance(family, Stationary2D):
-        return (family.a1 ** (-1.0 / family.alpha1)
-                * family.a2 ** (-1.0 / family.alpha2)
-                * u ** (-2.0 / family.alpha1 - 2.0 / family.alpha2))
-    if isinstance(family, OnePoint2D):
-        out = 1.0
-        for a, alpha, beta in ((family.a1, family.alpha1, family.beta1),
-                               (family.a2, family.alpha2, family.beta2)):
-            if alpha <= beta:
-                out *= a ** (-1.0 / alpha)
-            # alpha > beta: the exponent 1/alpha* is zero, a**0 = 1
-            out *= u ** (-2.0 / min(alpha, beta))
-        return out
     if isinstance(family, QueueFamily):
         # (sqrt(2) tau^alpha / (1 + c tau))^(2/alpha), with the sqrt pulled
         # out so clean cases (alpha = c = 1 gives exactly 1/2) stay exact
-        tau = family.tau_star
+        tau = Queue(family.alpha, family.c).tau_star
         base = tau ** family.alpha / (1.0 + family.c * tau)
         return (2.0 ** (1.0 / family.alpha) * base ** (2.0 / family.alpha)
                 * u ** (2.0 * (family.alpha - 1.0) / family.alpha))
-    raise TypeError(f"unknown scaling family {type(family).__name__}")
+    return math.prod(_axis_scales(family, u))
 
 
 @dataclass(frozen=True)
@@ -330,9 +318,7 @@ def _family_sampler(family, settings, u, ppv):
             {"delta": delta, "n_points": n_pts}
 
     if isinstance(family, Stationary2D):
-        e1 = family.a1 ** (-1.0 / family.alpha1) * u ** (-2.0 / family.alpha1)
-        e2 = family.a2 ** (-1.0 / family.alpha2) * u ** (-2.0 / family.alpha2)
-        d1, d2 = e1 / ppv, e2 / ppv
+        d1, d2 = (e / ppv for e in _axis_scales(family, u))
         n1 = int(math.ceil(settings.domain_T / d1)) + 1
         n2 = int(math.ceil(settings.domain_T2 / d2)) + 1
         lat = Lattice2D(GridSpec(0.0, (n1 - 1) * d1, n1),
@@ -347,12 +333,7 @@ def _family_sampler(family, settings, u, ppv):
             {"delta": (d1, d2), "n_points": (n1, n2)}
 
     if isinstance(family, OnePoint2D):
-        widths = []
-        for a, alpha, beta in ((family.a1, family.alpha1, family.beta1),
-                               (family.a2, family.alpha2, family.beta2)):
-            scale = a ** (-1.0 / alpha) if alpha <= beta else 1.0
-            widths.append(scale * u ** (-2.0 / min(alpha, beta)))
-        d1, d2 = widths[0] / ppv, widths[1] / ppv
+        d1, d2 = (e / ppv for e in _axis_scales(family, u))
         h1 = int(math.ceil(settings.domain_T / d1))
         h2 = int(math.ceil(settings.domain_T2 / d2))
         lat = Lattice2D(GridSpec(-h1 * d1, h1 * d1, 2 * h1 + 1),
@@ -389,23 +370,15 @@ def _family_sampler(family, settings, u, ppv):
 def _target_curve(family, settings, xg, seed, workers):
     """Constant-ratio limit curve at the experiment's rescaled pitch."""
     pitch = 1.0 / settings.points_per_v
-    if isinstance(family, (Stationary1D, ChiFamily)):
-        vals, ses = berman_curve_1d(family.alpha, xg, settings.target_S,
-                                    n_samples=settings.target_samples,
-                                    seed=seed, delta=pitch, method="tilted",
-                                    workers=workers, chunk_size=1024)
-    elif isinstance(family, QueueFamily):
-        if settings.queue_T is not None:
-            vals, ses = berman_curve_1d(family.alpha, xg, settings.queue_T,
-                                        n_samples=settings.target_samples,
-                                        seed=seed, delta=pitch,
-                                        workers=workers)
-        else:
-            vals, ses = berman_curve_1d(family.alpha, xg, settings.target_S,
-                                        n_samples=settings.target_samples,
-                                        seed=seed, delta=pitch,
-                                        method="tilted", workers=workers,
-                                        chunk_size=1024)
+    if isinstance(family, (Stationary1D, ChiFamily, QueueFamily)):
+        # a fixed queue window is short enough for plain averaging; long-run
+        # targets need the tilted kernel, whose variance is flat in S
+        fixed = isinstance(family, QueueFamily) and settings.queue_T is not None
+        vals, ses = berman_curve_1d(
+            family.alpha, xg, settings.queue_T if fixed else settings.target_S,
+            n_samples=settings.target_samples, seed=seed, delta=pitch,
+            method="plain" if fixed else "tilted", workers=workers,
+            chunk_size=mc.DEFAULT_CHUNK if fixed else 1024)
     elif isinstance(family, Stationary2D):
         rule = DomainRule(settings.target_S_2d, family.alpha1,
                           alpha2=family.alpha2)
@@ -474,12 +447,16 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     counting, per replicate, how many blocks exceed. Shared replicates across
     the schedule make the reported trend much more stable than independent
     runs would be. With independent_blocks=True every block is simulated from
-    a fresh process (a control whose ratio must match the independence bound).
+    a fresh process (a control whose ratio must match the independence
+    bound); the control exists for the 1D family only.
     """
     settings = settings or ExperimentSettings()
     if not isinstance(family, (Stationary1D, Stationary2D)):
         raise TypeError("double-sum diagnostic expects a stationary 1D or 2D "
                         "family")
+    if independent_blocks and isinstance(family, Stationary2D):
+        raise ValueError("independent_blocks is available for the stationary "
+                         "1D family only")
     sched = [float(n) for n in n_schedule]
     if not sched or any(n <= 0 for n in sched):
         raise ValueError("n_schedule must be positive")
@@ -489,49 +466,50 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(mc.derive_seed(seed, 0xD5))))
 
-    if isinstance(family, Stationary2D):
-        return _double_sum_2d(family, settings, u, sched, rng, n_sims,
-                              independent_blocks, seed)
-
-    ell = scaling_function(family, u)
-    delta = ell / ppv
-    n_cells = int(math.ceil(settings.domain_T / delta))
+    deltas = [e / ppv for e in _axis_scales(family, u)]
+    cells = [int(math.ceil(T / d))
+             for T, d in zip((settings.domain_T, settings.domain_T2), deltas)]
     widths, n_blocks = [], []
     for n in sched:
         w = int(round(n * ppv))
-        k = n_cells // w
+        k = math.prod(c // w for c in cells)
         if k < 2:
             raise ValueError(
                 f"block size n={n:g} gives {k} block(s) on a domain of "
-                f"{n_cells} cells; the diagnostic needs at least 2")
+                f"{'x'.join(map(str, cells))} cells; the diagnostic needs at "
+                "least 2")
         widths.append(w)
         n_blocks.append(k)
 
-    spec = StationaryExp1D(family.a, family.alpha)
+    if isinstance(family, Stationary2D):
+        spec = StationaryExp2D(family.a1, family.a2, family.alpha1,
+                               family.alpha2)
+        lat = Lattice2D(*(GridSpec(0.0, c * d, c + 1)
+                          for c, d in zip(cells, deltas)))
+
+        def draw(m):
+            return stationary2d_batch(rng, m, spec, lat)
+    else:
+        spec = StationaryExp1D(family.a, family.alpha)
+
+        def draw(m, n_cells=cells[0]):
+            return stationary_batch(rng, m, spec, n_cells + 1, deltas[0])
+
+    axes = tuple(range(1, len(cells) + 1))
     joint = np.zeros(len(sched))
     single = np.zeros(len(sched))
     chunk_stats = [[] for _ in sched]
     done = 0
     while done < n_sims:
         m = min(settings.sim_batch, n_sims - done)
-        if independent_blocks:
-            exceed_all = []
-            for i, (w, k) in enumerate(zip(widths, n_blocks)):
-                ex = np.empty((m, k), dtype=bool)
-                for b in range(k):
-                    x = stationary_batch(rng, m, spec, w + 1, delta)
-                    ex[:, b] = x.max(axis=1) > u
-                exceed_all.append(ex)
-        else:
-            x = stationary_batch(rng, m, spec, n_cells + 1, delta)
-            exceed_all = []
-            for w, k in zip(widths, n_blocks):
-                ex = np.empty((m, k), dtype=bool)
-                for b in range(k):
-                    ex[:, b] = x[:, b * w:(b + 1) * w + 1].max(axis=1) > u
-                exceed_all.append(ex)
-        for i, ex in enumerate(exceed_all):
-            s = ex.sum(axis=1)
+        f = None if independent_blocks else draw(m)
+        for i, (w, k) in enumerate(zip(widths, n_blocks)):
+            if independent_blocks:
+                # a fresh path of w cells for each of the k blocks
+                s = sum(draw(m, w).max(axis=1) > u for _ in range(k))
+            else:
+                s = sum(f[(slice(None),) + blk].max(axis=axes) > u
+                        for blk in _blocks(cells, w))
             j_c = float((s * (s - 1)).sum())
             s_c = float(s.sum())
             joint[i] += j_c
@@ -547,7 +525,8 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
         r = joint[i] / single[i]
         ratios.append(r)
         ses.append(_ratio_se(np.array(chunk_stats[i]), r))
-    meta = {"seed": seed, "delta": delta, "n_sims": n_sims,
+    meta = {"seed": seed, "n_sims": n_sims,
+            "delta": deltas[0] if len(deltas) == 1 else tuple(deltas),
             "block_widths_cells": tuple(widths),
             "independent_blocks": independent_blocks}
     return DoubleSumResult(family, float(u), tuple(sched), tuple(ratios),
@@ -555,59 +534,11 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
                            tuple(single.tolist()), tuple(n_blocks), meta)
 
 
-def _double_sum_2d(family, settings, u, sched, rng, n_sims,
-                   independent_blocks, seed):
-    ppv = settings.points_per_v
-    e1 = family.a1 ** (-1.0 / family.alpha1) * u ** (-2.0 / family.alpha1)
-    e2 = family.a2 ** (-1.0 / family.alpha2) * u ** (-2.0 / family.alpha2)
-    d1, d2 = e1 / ppv, e2 / ppv
-    c1 = int(math.ceil(settings.domain_T / d1))
-    c2 = int(math.ceil(settings.domain_T2 / d2))
-    plans = []
-    for n in sched:
-        w = int(round(n * ppv))
-        k1, k2 = c1 // w, c2 // w
-        if k1 * k2 < 2:
-            raise ValueError(
-                f"block size n={n:g} gives {k1 * k2} block(s); need at least 2")
-        plans.append((w, k1, k2))
-    spec = StationaryExp2D(family.a1, family.a2, family.alpha1, family.alpha2)
-    lat = Lattice2D(GridSpec(0.0, c1 * d1, c1 + 1),
-                    GridSpec(0.0, c2 * d2, c2 + 1))
-    joint = np.zeros(len(sched))
-    single = np.zeros(len(sched))
-    chunk_stats = [[] for _ in sched]
-    done = 0
-    while done < n_sims:
-        m = min(settings.sim_batch, n_sims - done)
-        f = stationary2d_batch(rng, m, spec, lat)
-        for i, (w, k1, k2) in enumerate(plans):
-            s = np.zeros(m, dtype=np.int64)
-            for b1 in range(k1):
-                for b2 in range(k2):
-                    blk = f[:, b1 * w:(b1 + 1) * w + 1,
-                            b2 * w:(b2 + 1) * w + 1]
-                    s += blk.max(axis=(1, 2)) > u
-            j_c = float((s * (s - 1)).sum())
-            s_c = float(s.sum())
-            joint[i] += j_c
-            single[i] += s_c
-            chunk_stats[i].append((j_c, s_c))
-        done += m
-    ratios, ses = [], []
-    for i in range(len(sched)):
-        if single[i] == 0:
-            raise mc.NumericFailure(
-                f"no block exceedances at u={u}; lower u or raise n_sims")
-        r = joint[i] / single[i]
-        ratios.append(r)
-        ses.append(_ratio_se(np.array(chunk_stats[i]), r))
-    meta = {"seed": seed, "delta": (d1, d2), "n_sims": n_sims,
-            "independent_blocks": independent_blocks}
-    return DoubleSumResult(family, float(u), tuple(sched), tuple(ratios),
-                           tuple(ses), tuple(joint.tolist()),
-                           tuple(single.tolist()),
-                           tuple(k1 * k2 for _, k1, k2 in plans), meta)
+def _blocks(cells, w):
+    """Index tuples of the blocks of side w cells (w + 1 nodes, adjacent
+    blocks sharing their edge nodes) that fit in a grid of `cells` cells."""
+    for idx in itertools.product(*(range(c // w) for c in cells)):
+        yield tuple(slice(b * w, (b + 1) * w + 1) for b in idx)
 
 
 def _ratio_se(stats, r):
@@ -643,7 +574,7 @@ def queue_asymptotics(alpha, c, u):
     fam = QueueFamily(alpha, c)
     if u <= 0:
         raise ValueError("u must be > 0")
-    tau = fam.tau_star
+    tau = Queue(alpha, c).tau_star
     m_u = (1.0 + c * tau) / tau ** (alpha / 2.0) * u ** (1.0 - alpha / 2.0)
     A = tau ** (-alpha / 2.0) * 2.0 / (2.0 - alpha)
     B = tau ** (-alpha / 2.0 - 1.0) * alpha / 2.0

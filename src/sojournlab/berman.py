@@ -32,7 +32,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import mc
 from .gaussim import DriftSpec, FbmW, fbm_batch, w_field_batch
-from .sojourn import batch_levels, level_rank
+from .sojourn import batch_levels
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -202,83 +202,55 @@ def brownian_sup_oracle(S):
 
 # ---------------------------------------------------------------------------
 # sampling kernels (module level so worker processes can unpickle them)
+#
+# p["x"] is one sojourn size or a tuple of them: batch_levels reduces each
+# path to one value, or to one column per x from the same paths.
 
 def _w1d_kernel(rng, m, p):
     """exp(z_x) for W_alpha paths with drift on a fixed 1D grid."""
-    t = np.linspace(p["start"], p["end"], p["n_grid"])
-    step = t[1] - t[0]
-    pin = int(np.argmin(np.abs(t)))
-    drift = DriftSpec(p["drift_b"], p["drift_beta"]) if p["drift_b"] else DriftSpec()
-    spec = FbmW(p["alpha"], drift)
-    if p.get("antithetic"):
-        half = (m + 1) // 2
-        b = fbm_batch(rng, half, p["alpha"], len(t) - 1, step, pin_index=pin)
-        dterm = np.abs(t) ** p["alpha"] + drift.h(t)
-        zp = batch_levels(SQRT2 * b - dterm[None, :], step, p["x"])
-        zm = batch_levels(-SQRT2 * b - dterm[None, :], step, p["x"])
-        return np.exp(np.concatenate([zp, zm])[:m])
-    w = w_field_batch(rng, m, spec, t, pin)
-    return np.exp(batch_levels(w, step, p["x"]))
-
-
-def _w1d_curve_kernel(rng, m, p):
-    """exp(z_x) columns for a whole x grid from shared sample paths."""
-    t = np.linspace(p["start"], p["end"], p["n_grid"])
-    step = t[1] - t[0]
-    pin = int(np.argmin(np.abs(t)))
-    spec = FbmW(p["alpha"], DriftSpec())
-    w = w_field_batch(rng, m, spec, t, pin)
-    return _curve_columns(w, step, p["x_grid"])
-
-
-def _curve_columns(values, step, x_grid):
-    srt = np.sort(values, axis=1)[:, ::-1]
-    n = srt.shape[1]
-    cols = np.empty((values.shape[0], len(x_grid)))
-    for j, x in enumerate(x_grid):
-        rank = level_rank(x, step)
-        cols[:, j] = np.exp(srt[:, rank - 1]) if rank <= n else 0.0
-    return cols
-
-
-def _tilted_curve_kernel(rng, m, p):
-    """Shift-randomized exp(z_x) columns over an x grid from shared windows.
-
-    Grid flavor at every x (including 0), so column ratios compare grid-level
-    constants at one common step. The bounded tilt ratio keeps the variance
-    flat in S, which is what makes long-interval target curves affordable.
-    """
-    alpha, S, delta = p["alpha"], p["S"], p["delta"]
-    N = int(round(S / delta))
-    k = rng.integers(0, N + 1, size=m)
-    b = SQRT2 * fbm_batch(rng, m, alpha, N, delta)
-    b = b - b[np.arange(m), k][:, None]
-    s = (np.arange(N + 1)[None, :] - k[:, None]) * delta
-    v = b - np.abs(s) ** alpha
-    scale = (S + delta) / (delta * np.exp(v).sum(axis=1))
-    return _curve_columns(v, delta, p["x_grid"]) * scale[:, None]
+    t = p["t"]
+    w = w_field_batch(rng, m, FbmW(p["alpha"], p["drift"]), t,
+                      int(np.argmin(np.abs(t))))
+    return np.exp(batch_levels(w, t[1] - t[0], p["x"]))
 
 
 def _w2d_kernel(rng, m, p):
     """exp(z_x) for separable 2D drifted fields on a lattice."""
-    f, area = _w2d_field(rng, m, p)
+    (t1, a1, d1), (t2, a2, d2) = p["axes"]
+    w1 = w_field_batch(rng, m, FbmW(a1, d1), t1, int(np.argmin(np.abs(t1))))
+    w2 = w_field_batch(rng, m, FbmW(a2, d2), t2, int(np.argmin(np.abs(t2))))
+    area = (t1[1] - t1[0]) * (t2[1] - t2[0])
+    f = w1[:, :, None] + w2[:, None, :]
     return np.exp(batch_levels(f.reshape(m, -1), area, p["x"]))
 
 
-def _w2d_curve_kernel(rng, m, p):
-    f, area = _w2d_field(rng, m, p)
-    return _curve_columns(f.reshape(m, -1), area, p["x_grid"])
+def _parabola_window(rng, m, length):
+    """alpha = 2 window [lo, hi] = [-t0, length - t0] around a uniform
+    continuous anchor t0: (xi, lo, hi, mass), mass the integral of
+    exp(sqrt2*xi*t - t^2) over the window."""
+    t0 = rng.random(m) * length
+    xi = rng.standard_normal(m)
+    lo, hi = -t0, length - t0
+    tv = xi / SQRT2
+    mass = np.exp(xi * xi / 2.0) * SQRT_PI * (ndtr((hi - tv) * SQRT2)
+                                              - ndtr((lo - tv) * SQRT2))
+    return xi, lo, hi, mass
 
 
-def _w2d_field(rng, m, p):
-    t1 = np.linspace(p["lo1"], p["hi1"], p["n1"])
-    t2 = np.linspace(p["lo2"], p["hi2"], p["n2"])
-    s1 = FbmW(p["alpha1"], DriftSpec(p["b1"], p["beta1"]) if p["b1"] else DriftSpec())
-    s2 = FbmW(p["alpha2"], DriftSpec(p["b2"], p["beta2"]) if p["b2"] else DriftSpec())
-    w1 = w_field_batch(rng, m, s1, t1, int(np.argmin(np.abs(t1))))
-    w2 = w_field_batch(rng, m, s2, t2, int(np.argmin(np.abs(t2))))
-    area = (t1[1] - t1[0]) * (t2[1] - t2[0])
-    return w1[:, :, None] + w2[:, None, :], area
+def _tilted_window(rng, m, alpha, n_cells, d, brownian=False):
+    """W_alpha on n_cells + 1 nodes of step d, re-anchored at a uniformly
+    drawn node: sqrt2 (B(s) - B(s_k)) - |s - s_k|^alpha. brownian=True draws
+    the alpha = 1 path from plain increments, the skeleton that the exact
+    Brownian-bridge cell suprema need."""
+    k = rng.integers(0, n_cells + 1, size=m)
+    if brownian:
+        inc = rng.standard_normal((m, n_cells)) * math.sqrt(2.0 * d)
+        b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    else:
+        b = SQRT2 * fbm_batch(rng, m, alpha, n_cells, d)
+    b = b - b[np.arange(m), k][:, None]
+    s = (np.arange(n_cells + 1)[None, :] - k[:, None]) * d
+    return b - np.abs(s) ** alpha
 
 
 def _axis_sup_factor(rng, m, alpha, length, delta_skel):
@@ -298,25 +270,11 @@ def _axis_sup_factor(rng, m, alpha, length, delta_skel):
     is unbiased for the skeleton-level constant.
     """
     if alpha == 2.0:
-        t0 = rng.random(m) * length
-        xi = rng.standard_normal(m)
-        lo, hi = -t0, length - t0
-        tv = xi / SQRT2
-        sup = _parabola_sup(xi, lo, hi)
-        den = np.exp(xi * xi / 2.0) * SQRT_PI * (ndtr((hi - tv) * SQRT2)
-                                                 - ndtr((lo - tv) * SQRT2))
-        return sup, length / den
+        xi, lo, hi, mass = _parabola_window(rng, m, length)
+        return _parabola_sup(xi, lo, hi), length / mass
     n_cells = max(int(round(length / delta_skel)), 1)
     d = length / n_cells
-    k = rng.integers(0, n_cells + 1, size=m)
-    if alpha == 1.0:
-        inc = rng.standard_normal((m, n_cells)) * math.sqrt(2.0 * d)
-        b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
-    else:
-        b = SQRT2 * fbm_batch(rng, m, alpha, n_cells, d)
-    b = b - b[np.arange(m), k][:, None]
-    s = (np.arange(n_cells + 1)[None, :] - k[:, None]) * d
-    v = b - np.abs(s) ** alpha
+    v = _tilted_window(rng, m, alpha, n_cells, d, brownian=alpha == 1.0)
     ev = np.exp(v)
     if alpha == 1.0:
         den = d * 0.5 * (ev[:, :-1] + ev[:, 1:]).sum(axis=1)
@@ -356,40 +314,31 @@ def _tilted_kernel(rng, m, p):
 
     Identity: tilt the defining expectation by exp(W(t)) (unit mean) and
     average the anchor t over the interval; each sample is a bounded ratio
-      value = scale * exp(z_x of the re-anchored two-sided window) /
-              (integral of exp over the window),
+      value = exp(z_x of the re-anchored two-sided window) * scale,
+      scale = (S + delta) / (integral of exp over the window),
     so the estimator has light tails (numerator level never exceeds the
     window sup, and exp(sup) <= integral/delta + boundary terms).
 
-    Three flavors: alpha = 2 is fully closed form with a continuous anchor;
-    alpha = 1 at x = 0 uses exact Brownian-bridge cell suprema against a
-    trapezoid window integral (continuum target, discretization error only
-    in the denominator); everything else anchors on the grid and reduces
-    grid values, which is exactly unbiased for the grid-level constant.
+    A single x has two exact flavors: x = 0 takes the window sup from
+    _axis_sup_factor (exact Brownian-bridge cell suprema at alpha = 1), and
+    alpha = 2 is fully closed form with a continuous anchor. Everything else,
+    and every column of an x grid, anchors on the grid and reduces grid
+    values, which is exactly unbiased for the grid-level constant; the
+    columns then compare grid-level constants at one common step, and the
+    bounded tilt ratio keeps the variance flat in S, which is what makes
+    long-interval target curves affordable.
     """
     alpha, x, S, delta = p["alpha"], p["x"], p["S"], p["delta"]
-    if x == 0.0:
+    if np.ndim(x) == 0 and x == 0.0:
         sup, ratio = _axis_sup_factor(rng, m, alpha, S, delta)
         return ratio * np.exp(sup)
-    if alpha == 2.0:
-        t0 = rng.random(m) * S
-        xi = rng.standard_normal(m)
-        lo, hi = -t0, S - t0
-        tv = xi / SQRT2
-        num = np.exp(_parabola_level(xi, lo, hi, x))
-        den = np.exp(xi * xi / 2.0) * SQRT_PI * (ndtr((hi - tv) * SQRT2)
-                                                 - ndtr((lo - tv) * SQRT2))
-        return S * num / den
-
-    N = int(round(S / delta))
-    k = rng.integers(0, N + 1, size=m)
-    b = SQRT2 * fbm_batch(rng, m, alpha, N, delta)
-    b = b - b[np.arange(m), k][:, None]
-    s = (np.arange(N + 1)[None, :] - k[:, None]) * delta
-    v = b - np.abs(s) ** alpha
-    den = delta * np.exp(v).sum(axis=1)
+    if np.ndim(x) == 0 and alpha == 2.0:
+        xi, lo, hi, mass = _parabola_window(rng, m, S)
+        return S * np.exp(_parabola_level(xi, lo, hi, x)) / mass
+    v = _tilted_window(rng, m, alpha, int(round(S / delta)), delta)
     num = np.exp(batch_levels(v, delta, x))
-    return (S + delta) * num / den
+    scale = (S + delta) / (delta * np.exp(v).sum(axis=1))
+    return num * (scale if num.ndim == 1 else scale[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +346,7 @@ def _tilted_kernel(rng, m, p):
 
 def estimate_berman_1d(alpha, drift=DriftSpec(), x=0.0, interval=(0.0, 1.0),
                        n_grid=4097, n_samples=100_000, seed=0, *, workers=1,
-                       antithetic=False, refine_check=False,
-                       chunk_size=mc.DEFAULT_CHUNK):
+                       refine_check=False, chunk_size=mc.DEFAULT_CHUNK):
     """Plain MC estimate of the interval constant E exp(z_x) for W_alpha.
 
     The interval must contain 0 as a grid point (the simulated path is
@@ -424,15 +372,13 @@ def estimate_berman_1d(alpha, drift=DriftSpec(), x=0.0, interval=(0.0, 1.0),
     t = np.linspace(lo, hi, n_grid)
     if abs(t[np.argmin(np.abs(t))]) > 1e-9 * max(abs(lo), abs(hi)):
         raise ValueError("grid does not hit 0 exactly; adjust n_grid")
-    params = {"alpha": float(alpha), "drift_b": drift.b, "drift_beta": drift.beta,
-              "x": float(x), "start": lo, "end": hi, "n_grid": int(n_grid),
-              "antithetic": bool(antithetic)}
+    params = {"alpha": float(alpha), "drift": drift, "t": t, "x": float(x)}
     mean, se, _ = mc.chunked_mean(_w1d_kernel, n_samples, seed, params,
                                   chunk_size=chunk_size, workers=workers)
     flags = ()
     metadata = {}
     if refine_check:
-        fine = dict(params, n_grid=2 * (n_grid - 1) + 1)
+        fine = dict(params, t=np.linspace(lo, hi, 2 * (n_grid - 1) + 1))
         mean2, se2, _ = mc.chunked_mean(_w1d_kernel, n_samples,
                                         mc.derive_seed(seed, 0xF1E), fine,
                                         chunk_size=chunk_size, workers=workers)
@@ -486,7 +432,8 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
                             delta, (0.0, sched[-1]), 1.0, seed,
                             method=f"limit-{method}", flags=tuple(flags),
                             metadata={"per_S": tuple(zip(sched, vals, ses)),
-                                      "intercept": fit.intercept})
+                                      "intercept": fit.intercept,
+                                      "intercept_se": fit.intercept_se})
 
 
 def estimate_pickands(alpha, S_schedule=DEFAULT_LIMIT_SCHEDULE,
@@ -507,23 +454,22 @@ def berman_curve_1d(alpha, x_grid, S, n_samples=100_000, seed=0, *,
     shift-randomized kernel whose variance does not grow with S, which long
     target curves need. Returns (values, std_errs) arrays.
     """
-    xg = [float(x) for x in x_grid]
+    xg = tuple(float(x) for x in x_grid)
     if any(x < 0 for x in xg):
         raise ValueError("x grid must be nonnegative")
-    n_grid = int(round(S / delta)) + 1
     if method == "plain":
-        params = {"alpha": float(alpha), "start": 0.0, "end": float(S),
-                  "n_grid": n_grid, "x_grid": tuple(xg)}
-        kernel = _w1d_curve_kernel
+        t = np.linspace(0.0, float(S), int(round(S / delta)) + 1)
+        kernel = _w1d_kernel
+        params = {"alpha": float(alpha), "drift": DriftSpec(), "t": t, "x": xg}
     elif method == "tilted":
+        kernel = _tilted_kernel
         params = {"alpha": float(alpha), "S": float(S), "delta": float(delta),
-                  "x_grid": tuple(xg)}
-        kernel = _tilted_curve_kernel
+                  "x": xg}
     else:
         raise ValueError("method must be 'plain' or 'tilted'")
-    means, ses, _ = mc.chunked_mean_vec(kernel, n_samples, seed, params,
-                                        width=len(xg),
-                                        chunk_size=chunk_size, workers=workers)
+    means, ses, _ = mc.chunked_mean(kernel, n_samples, seed, params,
+                                    width=len(xg), chunk_size=chunk_size,
+                                    workers=workers)
     return means, ses
 
 
@@ -542,22 +488,18 @@ def estimate_berman_2d(alpha1, alpha2, drift1=DriftSpec(), drift2=DriftSpec(),
     _check_rule(rule, alpha2, drift2, 2)
     if x < 0:
         raise ValueError("x must be >= 0")
-    (lo1, hi1), (lo2, hi2) = rule.axis_interval(1), rule.axis_interval(2)
-    n1 = _axis_points(lo1, hi1, n_grid_axis)
-    n2 = _axis_points(lo2, hi2, n_grid_axis)
-    area_step = ((hi1 - lo1) / (n1 - 1)) * ((hi2 - lo2) / (n2 - 1))
-    domain = ((lo1, hi1), (lo2, hi2))
+    params = _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis,
+                         float(x))
+    domain = (rule.axis_interval(1), rule.axis_interval(2))
+    (lo1, hi1), (lo2, hi2) = domain
+    (t1, _, _), (t2, _, _) = params["axes"]
+    area_step = ((hi1 - lo1) / (len(t1) - 1)) * ((hi2 - lo2) / (len(t2) - 1))
     if x >= rule.area:
         return ConstantEstimate(0.0, 0.0, 0, area_step, domain,
                                 rule.normalization, seed, method="plain-2d",
                                 flags=("vanishing-by-bound",))
     if n_samples < 100:
         raise ValueError("n_samples < 100 gives no meaningful standard error")
-    params = {"alpha1": float(alpha1), "alpha2": float(alpha2),
-              "b1": drift1.b, "beta1": drift1.beta,
-              "b2": drift2.b, "beta2": drift2.beta,
-              "lo1": lo1, "hi1": hi1, "n1": n1,
-              "lo2": lo2, "hi2": hi2, "n2": n2, "x": float(x)}
     mean, se, _ = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
                                   chunk_size=chunk_size, workers=workers)
     norm = rule.normalization
@@ -569,19 +511,22 @@ def berman_curve_2d(alpha1, alpha2, x_grid, rule, n_samples=100_000, seed=0, *,
                     drift1=DriftSpec(), drift2=DriftSpec(), n_grid_axis=129,
                     workers=1, chunk_size=1024):
     """Shared-sample 2D constant estimates over an x grid (unnormalized)."""
-    xg = [float(x) for x in x_grid]
-    (lo1, hi1), (lo2, hi2) = rule.axis_interval(1), rule.axis_interval(2)
-    n1 = _axis_points(lo1, hi1, n_grid_axis)
-    n2 = _axis_points(lo2, hi2, n_grid_axis)
-    params = {"alpha1": float(alpha1), "alpha2": float(alpha2),
-              "b1": drift1.b, "beta1": drift1.beta,
-              "b2": drift2.b, "beta2": drift2.beta,
-              "lo1": lo1, "hi1": hi1, "n1": n1,
-              "lo2": lo2, "hi2": hi2, "n2": n2, "x_grid": tuple(xg)}
-    means, ses, _ = mc.chunked_mean_vec(_w2d_curve_kernel, n_samples, seed,
-                                        params, width=len(xg),
-                                        chunk_size=chunk_size, workers=workers)
+    xg = tuple(float(x) for x in x_grid)
+    params = _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis, xg)
+    means, ses, _ = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
+                                    width=len(xg), chunk_size=chunk_size,
+                                    workers=workers)
     return means, ses
+
+
+def _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis, x):
+    """_w2d_kernel params: per axis the rule's grid, exponent and drift."""
+    axes = []
+    for i, (alpha, drift) in enumerate(((alpha1, drift1), (alpha2, drift2)), 1):
+        lo, hi = rule.axis_interval(i)
+        t = np.linspace(lo, hi, _axis_points(lo, hi, n_grid_axis))
+        axes.append((t, float(alpha), drift))
+    return {"axes": tuple(axes), "x": x}
 
 
 def _axis_points(lo, hi, n_grid_axis):

@@ -24,7 +24,7 @@ from .asymptotics import (ChiFamily, ExperimentSettings, OnePoint2D,
                           conditional_sojourn_cdf, double_sum_diagnostic)
 from .berman import (NO_DRIFT, DomainRule, brownian_sup_oracle,
                      estimate_berman_1d, estimate_berman_1d_limit,
-                     estimate_berman_2d, estimate_bhat, estimate_pickands,
+                     estimate_berman_2d, estimate_bhat,
                      parabola_constant_closed_form)
 from .gaussim import DriftSpec
 
@@ -237,17 +237,10 @@ def _run_estimate_constant(cfg, workers):
     if fam in ("limit-1d", "pickands"):
         sched = _floats(cfg["s_schedule"])
         x = 0.0 if fam == "pickands" else cfg["x"]
-        if fam == "pickands":
-            est = estimate_pickands(cfg["alpha"], tuple(sched), n, seed,
-                                    delta=cfg["delta"], method=cfg["method"],
-                                    workers=workers,
-                                    chunk_size=cfg["chunk_size"])
-        else:
-            est = estimate_berman_1d_limit(cfg["alpha"], x, tuple(sched), n,
-                                           seed, delta=cfg["delta"],
-                                           method=cfg["method"],
-                                           workers=workers,
-                                           chunk_size=cfg["chunk_size"])
+        est = estimate_berman_1d_limit(cfg["alpha"], x, tuple(sched), n, seed,
+                                       delta=cfg["delta"], method=cfg["method"],
+                                       workers=workers,
+                                       chunk_size=cfg["chunk_size"])
         rows = [("limit", x, est.value, est.std_err, sched[-1], cfg["delta"],
                  ";".join(est.flags))]
         streams = {f"S={S:g}": mc.derive_seed(seed, i)
@@ -384,13 +377,11 @@ def _run_convergence(cfg, workers):
                                    cfg["n_samples"], cfg["seed"],
                                    delta=cfg["delta"], method=cfg["method"],
                                    workers=workers)
-    per_s = est.metadata["per_S"]
-    fit = mc.fit_line([s for s, _, _ in per_s], [v for _, v, _ in per_s],
-                      [se for _, _, se in per_s])
+    fit = (est.value, est.std_err, est.metadata["intercept"],
+           est.metadata["intercept_se"])
     header = ("S", "value", "std_err", "slope", "slope_se", "intercept",
               "intercept_se")
-    rows = [(S, v, se, fit.slope, fit.slope_se, fit.intercept,
-             fit.intercept_se) for S, v, se in per_s]
+    rows = [(S, v, se) + fit for S, v, se in est.metadata["per_S"]]
     streams = {f"S={S:g}": mc.derive_seed(cfg["seed"], i)
                for i, S in enumerate(sched)}
     return header, rows, list(est.flags), streams
@@ -425,7 +416,10 @@ def build_parser():
                         default=argparse.SUPPRESS,
                         help="base RNG seed; drawn and recorded if omitted")
         sp.add_argument("--workers", type=int, default=1,
-                        help="process count for chunked estimators")
+                        help="worker processes for the Monte Carlo chunks of "
+                             "estimate-constant, convergence and the "
+                             "run-experiment target curves; no effect on "
+                             "double-sum and oracle")
         sp.add_argument("--out", default="sojournlab-out",
                         help="output directory")
         for opt in opts:

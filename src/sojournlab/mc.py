@@ -47,13 +47,18 @@ def _run_chunk(kernel, seed, chunk_index, chunk_n, params, width=None):
     return out.sum(axis=0), np.square(out).sum(axis=0)
 
 
-def chunked_mean(kernel, n_samples, seed, params=None, chunk_size=DEFAULT_CHUNK,
-                 workers=1, min_batches=30):
+def chunked_mean(kernel, n_samples, seed, params=None, width=None,
+                 chunk_size=DEFAULT_CHUNK, workers=1, min_batches=30):
     """Mean and batch-means standard error of a sample kernel.
 
-    kernel(rng, m, params) must return m per-sample values. Chunks are the
-    batching unit; adjacent chunks are merged into >= min_batches batches
-    (fewer only when there are not enough chunks to go around).
+    kernel(rng, m, params) must return m per-sample values, or an (m, width)
+    array when width is given; then every column comes from the same
+    samples, so column estimates share the per-path randomness (exact
+    pathwise monotonicity across columns is preserved when the kernel
+    guarantees it). Chunks are the batching unit; adjacent chunks are merged
+    into >= min_batches batches (fewer only when there are not enough chunks
+    to go around). Returns (mean, se, n_chunks), with mean and se arrays of
+    length width when width is given.
     """
     n_samples = int(n_samples)
     if n_samples <= 0:
@@ -64,43 +69,9 @@ def chunked_mean(kernel, n_samples, seed, params=None, chunk_size=DEFAULT_CHUNK,
         sizes.append(rem)
     n_chunks = len(sizes)
 
-    sums = np.empty(n_chunks)
-    sqs = np.empty(n_chunks)
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            futs = [pool.submit(_run_chunk, kernel, seed, k, sizes[k], params)
-                    for k in range(n_chunks)]
-            for k, fut in enumerate(futs):
-                sums[k], sqs[k] = fut.result()
-    else:
-        for k in range(n_chunks):
-            sums[k], sqs[k] = _run_chunk(kernel, seed, k, sizes[k], params)
-
-    total = float(np.sum(sums))
-    mean = total / n_samples
-    se = float(batch_se(sums, np.asarray(sizes, dtype=float), min_batches=min_batches))
-    return mean, se, n_chunks
-
-
-def chunked_mean_vec(kernel, n_samples, seed, params, width, chunk_size=DEFAULT_CHUNK,
-                     workers=1, min_batches=30):
-    """Vector version of chunked_mean for kernels returning (m, width) arrays.
-
-    All width columns come from the same samples, so column estimates share
-    the per-path randomness (exact pathwise monotonicity across columns is
-    preserved when the kernel guarantees it). Returns (means, ses, n_chunks).
-    """
-    n_samples = int(n_samples)
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    sizes = [chunk_size] * (n_samples // chunk_size)
-    rem = n_samples % chunk_size
-    if rem:
-        sizes.append(rem)
-    n_chunks = len(sizes)
-
-    sums = np.empty((n_chunks, width))
-    sqs = np.empty((n_chunks, width))
+    shape = (n_chunks,) if width is None else (n_chunks, int(width))
+    sums = np.empty(shape)
+    sqs = np.empty(shape)
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
             futs = [pool.submit(_run_chunk, kernel, seed, k, sizes[k], params, width)
@@ -111,9 +82,11 @@ def chunked_mean_vec(kernel, n_samples, seed, params, width, chunk_size=DEFAULT_
         for k in range(n_chunks):
             sums[k], sqs[k] = _run_chunk(kernel, seed, k, sizes[k], params, width)
 
-    means = sums.sum(axis=0) / n_samples
-    ses = batch_se(sums, np.asarray(sizes, dtype=float), min_batches=min_batches)
-    return means, np.asarray(ses), n_chunks
+    mean = sums.sum(axis=0) / n_samples
+    se = batch_se(sums, np.asarray(sizes, dtype=float), min_batches=min_batches)
+    if width is None:
+        return float(mean), se, n_chunks
+    return mean, se, n_chunks
 
 
 def batch_se(chunk_sums, chunk_sizes, min_batches=30):

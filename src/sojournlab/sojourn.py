@@ -93,14 +93,24 @@ def level_for_sojourn(obj, x):
 def batch_levels(values, step, x):
     """Row-wise level_for_sojourn over a (paths, points) value array.
 
-    Returns a float array with -inf in rows where no finite level exists,
-    which downstream exp() maps to an exact 0 contribution.
+    A scalar x gives a (paths,) array through one partition per row; a
+    sequence of x gives a (paths, len(x)) array, one column per x, through
+    one sort per row. Entries are -inf where no finite level exists, which
+    downstream exp() maps to an exact 0 contribution.
     """
-    m = level_rank(x, step)
     n = values.shape[1]
-    if m > n:
-        return np.full(values.shape[0], -np.inf)
-    return np.partition(values, n - m, axis=1)[:, n - m]
+    if np.ndim(x) == 0:
+        m = level_rank(x, step)
+        if m > n:
+            return np.full(values.shape[0], -np.inf)
+        return np.partition(values, n - m, axis=1)[:, n - m]
+    srt = np.sort(values, axis=1)
+    out = np.full((values.shape[0], len(x)), -np.inf)
+    for j, xj in enumerate(x):
+        m = level_rank(xj, step)
+        if m <= n:
+            out[:, j] = srt[:, n - m]
+    return out
 
 
 def reduction_quadrature(obj, x, rel_tol=1e-6):

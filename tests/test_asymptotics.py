@@ -203,6 +203,14 @@ def test_double_sum_2d():
     assert res.ratios[0] > res.ratios[1]
 
 
+def test_double_sum_2d_rejects_independent_blocks():
+    with pytest.raises(ValueError) as exc:
+        double_sum_diagnostic(Stationary2D(1.0, 1.0, 1.0, 1.0), 2.5,
+                              (1.0, 2.0), seed=11, n_sims=100,
+                              independent_blocks=True)
+    assert "independent_blocks" in str(exc.value)
+
+
 def test_queue_asymptotics_clean_case():
     qa = queue_asymptotics(1.0, 1.0, 4.0)
     assert qa.tau_star == 1.0

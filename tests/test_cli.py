@@ -225,6 +225,18 @@ def test_double_sum_table(tmp_path):
     assert int(float(rows[0]["blocks"])) > int(float(rows[1]["blocks"]))
 
 
+def test_double_sum_2d_independent_blocks_exit_2(tmp_path, capsys):
+    """The independence control exists for the 1D family only; asking for it
+    on the 2D family is refused instead of silently running shared blocks."""
+    out = str(tmp_path / "d2")
+    rc = _run(["double-sum", "--family", "stationary-2d",
+               "--independent-blocks", "--u", "2.5", "--n-schedule", "1,2",
+               "--n-sims", "200", "--seed", "5", "--out", out])
+    assert rc == 2
+    assert "independent_blocks" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "double_sum.csv"))
+
+
 def test_convergence_table(tmp_path):
     out = str(tmp_path / "cv")
     rc = _run(["convergence", "--alpha", "2.0", "--s-schedule", "2,4,8",

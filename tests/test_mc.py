@@ -41,24 +41,38 @@ def test_chunked_mean_kernel_shape_check():
 
     with pytest.raises(ValueError):
         mc.chunked_mean(short, 10_000, seed=0)
+    with pytest.raises(ValueError):
+        mc.chunked_mean(_vec_kernel, 10_000, seed=0, width=2)
 
 
-def test_chunked_mean_vec_worker_invariance():
-    a = mc.chunked_mean_vec(_vec_kernel, 60_000, seed=11, params=None, width=3)
-    b = mc.chunked_mean_vec(_vec_kernel, 60_000, seed=11, params=None, width=3,
-                            workers=3)
+def test_chunked_mean_width_worker_invariance():
+    a = mc.chunked_mean(_vec_kernel, 60_000, seed=11, width=3)
+    b = mc.chunked_mean(_vec_kernel, 60_000, seed=11, width=3, workers=3)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert a[2] == b[2]
 
 
-def test_chunked_mean_vec_values():
-    means, ses, n_chunks = mc.chunked_mean_vec(_vec_kernel, 300_000, seed=9,
-                                               params=None, width=3)
+def test_chunked_mean_width_values():
+    means, ses, n_chunks = mc.chunked_mean(_vec_kernel, 300_000, seed=9,
+                                           width=3)
+    assert means.shape == ses.shape == (3,)
     assert n_chunks >= 30
     assert abs(means[0]) < 4 * ses[0]
     assert abs(means[1] - 1.0) < 4 * ses[1]
     assert abs(means[2] - np.exp(0.5)) < 4 * ses[2]
+
+
+def test_chunked_mean_width_column_matches_scalar_kernel():
+    """A width-1 column and the scalar kernel on the same draws agree."""
+    def col(rng, m, params):
+        return _kernel(rng, m, params)[:, None]
+
+    vec = mc.chunked_mean(col, 20_000, seed=4, params={"s": 0.5}, width=1)
+    one = mc.chunked_mean(_kernel, 20_000, seed=4, params={"s": 0.5})
+    assert np.isclose(vec[0][0], one[0], rtol=1e-12, atol=0.0)
+    assert np.isclose(vec[1][0], one[1], rtol=1e-12, atol=0.0)
+    assert vec[2] == one[2]
 
 
 def test_derive_seed_is_stable_and_spread():

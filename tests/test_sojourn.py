@@ -71,11 +71,20 @@ def test_batch_levels_matches_scalar_route():
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((30, 16))
     step = 0.125
-    for x in (0.0, 0.2, 1.0, 1.99):
+    xs = (0.0, 0.2, 1.0, 1.99)
+    for x in xs:
         z = batch_levels(vals, step, x)
         for i in range(30):
             want = level_for_sojourn(_path(vals[i], step=step), x).z
             assert np.isclose(z[i], want), (i, x)
+    # an x grid gives one column per x, bitwise equal to the scalar call,
+    # and -inf columns past the grid
+    grid = xs + (2.0, 5.0)
+    cols = batch_levels(vals, step, grid)
+    assert cols.shape == (30, len(grid))
+    for j, x in enumerate(grid):
+        assert np.array_equal(cols[:, j], batch_levels(vals, step, x)), x
+    assert np.all(np.isneginf(cols[:, -2:]))
 
 
 def test_batch_levels_minus_inf_when_rank_exceeds_grid():

@@ -1,0 +1,89 @@
+"""Print a SHA-256 digest of every CLI table in a fixed set of runs.
+
+Runs the README's CLI examples, the manifest-replay configurations of
+acceptance criterion 9 and the argv of both benchmark workloads, each at a
+fixed seed, through `sojournlab.cli.main` into a temporary directory. For
+each run it prints one line, `<sha256 of the table>  <argv>`. Two checkouts
+that print the same lines write the same tables byte for byte, so a change
+that should only restructure code is checked by diffing the output:
+
+    python3 tools/table_digests.py > after.txt
+    (in the other checkout) python3 tools/table_digests.py > before.txt
+    diff before.txt after.txt
+
+Standard library only; the package is imported from the `src` directory
+next to this file. The whole set takes a few minutes on two cores.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from sojournlab import cli  # noqa: E402
+
+README_EXAMPLES = [
+    "oracle --family parabola-sojourn --x 0,0.2,0.5 --s 1",
+    "estimate-constant --family plain-1d --alpha 2 --x 0.2 --n-samples 100000 "
+    "--seed 7",
+    "estimate-constant --family bhat --alphas 1,2 --x 0.5 --n1 2 --seed 24",
+    "run-experiment --family chi --chi-m 2 --u 2.5,3.0,3.5 --seed 3",
+    "double-sum --u 3 --n-schedule 2,4,8 --domain-t 2 --seed 5",
+    "convergence --alpha 2 --s-schedule 4,8,16 --seed 0",
+]
+
+# tests/test_acceptance.py::test_manifest_replay_reproduces_every_table
+CRITERION_9 = [
+    "oracle --x 0,0.5 --s 1,2",
+    "estimate-constant --alpha 1.5 --x 0.1 --n-grid 129 --n-samples 4000 "
+    "--seed 11",
+    "convergence --alpha 2.0 --s-schedule 2,4,8 --n-samples 2000 --seed 9",
+    "double-sum --u 2.5 --n-schedule 2,4 --n-sims 20000 --domain-t 2.0 "
+    "--seed 5",
+    "run-experiment --u 2.0 --x-grid 0,1,2 --n-conditioned 300 "
+    "--sim-batch 5000 --max-sims 100000 --target-samples 3000 --seed 2",
+]
+
+# bench/workloads.py, one unit each at a fixed seed
+BENCHMARK = [
+    "estimate-constant --family plain-1d --alpha 1.5 --x 0.2 --interval 0,1 "
+    "--n-grid 4097 --workers 1 --n-samples 12288 --seed 1",
+    "run-experiment --family stationary-1d --u 2.5,3.0,3.5 --workers 2 "
+    "--n-conditioned 800 --target-samples 4096 --seed 1",
+]
+
+RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK
+
+
+def table_digest(argv, out):
+    """(exit code, sha256 hex of the table or None) of one CLI run."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv + ["--out", out])
+    if rc != 0:
+        return rc, None
+    with open(os.path.join(out, cli.MANIFEST_NAME)) as fh:
+        table = json.load(fh)["outputs"]["table"]
+    with open(os.path.join(out, table), "rb") as fh:
+        return rc, hashlib.sha256(fh.read()).hexdigest()
+
+
+def main():
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, line in enumerate(RUNS):
+            rc, digest = table_digest(line.split(), os.path.join(tmp, str(i)))
+            if digest is None:
+                failed += 1
+                digest = f"exit {rc}"
+            print(f"{digest}  {line}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
