@@ -439,7 +439,7 @@ class DoubleSumResult:
 
 def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
                           settings=None, n_sims=1_000_000,
-                          independent_blocks=False):
+                          independent_blocks=False, workers=1):
     """Pairwise-over-single block exceedance ratio for a schedule of block sizes.
 
     Partitions the domain into blocks of side n per local scale unit and
@@ -448,7 +448,8 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     the schedule make the reported trend much more stable than independent
     runs would be. With independent_blocks=True every block is simulated from
     a fresh process (a control whose ratio must match the independence
-    bound); the control exists for the 1D family only.
+    bound); the control exists for the 1D family only. Replicates run in
+    chunks of settings.sim_batch through mc.chunked_mean.
     """
     settings = settings or ExperimentSettings()
     if not isinstance(family, (Stationary1D, Stationary2D)):
@@ -463,8 +464,6 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     if u <= 0:
         raise ValueError("u must be > 0")
     ppv = settings.points_per_v
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(mc.derive_seed(seed, 0xD5))))
 
     deltas = [e / ppv for e in _axis_scales(family, u)]
     cells = [int(math.ceil(T / d))
@@ -484,54 +483,63 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     if isinstance(family, Stationary2D):
         spec = StationaryExp2D(family.a1, family.a2, family.alpha1,
                                family.alpha2)
-        lat = Lattice2D(*(GridSpec(0.0, c * d, c + 1)
-                          for c, d in zip(cells, deltas)))
-
-        def draw(m):
-            return stationary2d_batch(rng, m, spec, lat)
+        grid = Lattice2D(*(GridSpec(0.0, c * d, c + 1)
+                           for c, d in zip(cells, deltas)))
     else:
-        spec = StationaryExp1D(family.a, family.alpha)
-
-        def draw(m, n_cells=cells[0]):
-            return stationary_batch(rng, m, spec, n_cells + 1, deltas[0])
-
-    axes = tuple(range(1, len(cells) + 1))
-    joint = np.zeros(len(sched))
-    single = np.zeros(len(sched))
-    chunk_stats = [[] for _ in sched]
-    done = 0
-    while done < n_sims:
-        m = min(settings.sim_batch, n_sims - done)
-        f = None if independent_blocks else draw(m)
-        for i, (w, k) in enumerate(zip(widths, n_blocks)):
-            if independent_blocks:
-                # a fresh path of w cells for each of the k blocks
-                s = sum(draw(m, w).max(axis=1) > u for _ in range(k))
-            else:
-                s = sum(f[(slice(None),) + blk].max(axis=axes) > u
-                        for blk in _blocks(cells, w))
-            j_c = float((s * (s - 1)).sum())
-            s_c = float(s.sum())
-            joint[i] += j_c
-            single[i] += s_c
-            chunk_stats[i].append((j_c, s_c))
-        done += m
-
-    ratios, ses = [], []
-    for i in range(len(sched)):
-        if single[i] == 0:
-            raise mc.NumericFailure(
-                f"no block exceedances at u={u}; lower u or raise n_sims")
-        r = joint[i] / single[i]
-        ratios.append(r)
-        ses.append(_ratio_se(np.array(chunk_stats[i]), r))
+        spec, grid = StationaryExp1D(family.a, family.alpha), deltas[0]
+    params = {"spec": spec, "grid": grid, "cells": tuple(cells), "u": u,
+              "widths": tuple(widths), "n_blocks": tuple(n_blocks),
+              "independent_blocks": independent_blocks}
+    sub = mc.derive_seed(seed, 0xD5)
+    mean, se, n_chunks = mc.chunked_mean(
+        _double_sum_kernel, n_sims, sub, params, width=3 * len(sched),
+        chunk_size=settings.sim_batch, workers=workers)
+    joint, single, _ = np.split(mean, 3)
+    se_j, se_s, se_js = np.split(se, 3)
+    if np.any(single == 0):
+        raise mc.NumericFailure(
+            f"no block exceedances at u={u}; lower u or raise n_sims")
+    # delta method for joint/single; the J+S column gives Cov by polarisation
+    ratios = joint / single
+    cov = (se_js ** 2 - se_j ** 2 - se_s ** 2) / 2.0
+    ses = np.sqrt(np.maximum(se_j ** 2 - 2.0 * ratios * cov
+                             + ratios ** 2 * se_s ** 2, 0.0)) / single
     meta = {"seed": seed, "n_sims": n_sims,
             "delta": deltas[0] if len(deltas) == 1 else tuple(deltas),
             "block_widths_cells": tuple(widths),
-            "independent_blocks": independent_blocks}
-    return DoubleSumResult(family, float(u), tuple(sched), tuple(ratios),
-                           tuple(ses), tuple(joint.tolist()),
-                           tuple(single.tolist()), tuple(n_blocks), meta)
+            "independent_blocks": independent_blocks,
+            "stream_ids": mc.stream_ids(sub, n_chunks)}
+    return DoubleSumResult(family, float(u), tuple(sched),
+                           tuple(ratios.tolist()), tuple(ses.tolist()),
+                           tuple(round(v * n_sims) for v in joint),
+                           tuple(round(v * n_sims) for v in single),
+                           tuple(n_blocks), meta)
+
+
+def _double_sum_kernel(rng, m, p):
+    """Per replicate and schedule entry i, the count s of blocks of width
+    widths[i] whose maximum exceeds u, as columns J_i = s(s-1), S_i = s and
+    J_i + S_i (the last carries the J-S covariance). p["grid"] is the 2D
+    lattice, or the node step of the 1D path."""
+    spec, grid, cells, u = p["spec"], p["grid"], p["cells"], p["u"]
+    counts = []
+    if p["independent_blocks"]:
+        for w, k in zip(p["widths"], p["n_blocks"]):
+            # a fresh path of w cells for each of the k blocks
+            counts.append(sum(stationary_batch(rng, m, spec, w + 1, grid)
+                              .max(axis=1) > u for _ in range(k)))
+    else:
+        if isinstance(grid, Lattice2D):
+            f = stationary2d_batch(rng, m, spec, grid)
+        else:
+            f = stationary_batch(rng, m, spec, cells[0] + 1, grid)
+        axes = tuple(range(1, f.ndim))
+        for w in p["widths"]:
+            counts.append(sum(f[(slice(None),) + blk].max(axis=axes) > u
+                              for blk in _blocks(cells, w)))
+    s = np.stack(counts, axis=1).astype(float)
+    j = s * (s - 1.0)
+    return np.concatenate([j, s, j + s], axis=1)
 
 
 def _blocks(cells, w):
@@ -539,16 +547,6 @@ def _blocks(cells, w):
     blocks sharing their edge nodes) that fit in a grid of `cells` cells."""
     for idx in itertools.product(*(range(c // w) for c in cells)):
         yield tuple(slice(b * w, (b + 1) * w + 1) for b in idx)
-
-
-def _ratio_se(stats, r):
-    """Delta-method SE of sum(joint)/sum(single) from per-chunk sums."""
-    if stats.shape[0] < 2:
-        return float("nan")
-    resid = stats[:, 0] - r * stats[:, 1]
-    total_single = stats[:, 1].sum()
-    return float(np.sqrt(max(resid.var(ddof=1) * stats.shape[0], 0.0))
-                 / total_single)
 
 
 # ---------------------------------------------------------------------------
@@ -615,34 +613,30 @@ def queue_window_exceed_mc(u, c, n, n_paths=200_000, seed=0, *,
         raise ValueError("u and n must be > 0")
     w = scaling_function(fam, u) * n
     N = max(int(round(w / delta)), 1)
-    d = w / N
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(mc.derive_seed(seed, 0x9E))))
-    total = 0.0
-    sq = 0.0
-    done = 0
-    while done < n_paths:
-        m = min(chunk_size, n_paths - done)
-        inc = rng.standard_normal((m, N)) * math.sqrt(d) - c * d
-        y = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
-        a1, a2 = y[:, :-1], y[:, 1:]
-        ub = rng.random((m, N))
-        cellmax = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2
-                                           - 2.0 * d * np.log(ub)))
-        um = rng.random((m, N))
-        cellmin = 0.5 * (a1 + a2 - np.sqrt((a1 - a2) ** 2
-                                           - 2.0 * d * np.log(um)))
-        r = np.flip(np.maximum.accumulate(np.flip(cellmax, axis=1), axis=1),
-                    axis=1)
-        d1 = (r - a1).max(axis=1)
-        d2 = (r - cellmin).max(axis=1)
-        dsup = np.maximum(np.maximum(d1, d2), 0.0)
-        mw = np.minimum(cellmin.min(axis=1), 0.0)
-        p = np.where(dsup > u, 1.0,
-                     np.exp(-2.0 * c * np.maximum(u - (y[:, -1] - mw), 0.0)))
-        total += p.sum()
-        sq += (p * p).sum()
-        done += m
-    mean = total / n_paths
-    var = max(sq / n_paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_paths)
+    params = {"u": u, "c": c, "N": N, "d": w / N}
+    mean, se, _ = mc.chunked_mean(_queue_window_kernel, n_paths,
+                                  mc.derive_seed(seed, 0x9E), params,
+                                  chunk_size=chunk_size)
+    return mean, se
+
+
+def _queue_window_kernel(rng, m, p):
+    """Conditional window-exceedance probability of m Brownian queue paths."""
+    u, c, N, d = p["u"], p["c"], p["N"], p["d"]
+    inc = rng.standard_normal((m, N)) * math.sqrt(d) - c * d
+    y = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    a1, a2 = y[:, :-1], y[:, 1:]
+    ub = rng.random((m, N))
+    cellmax = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2
+                                       - 2.0 * d * np.log(ub)))
+    um = rng.random((m, N))
+    cellmin = 0.5 * (a1 + a2 - np.sqrt((a1 - a2) ** 2
+                                       - 2.0 * d * np.log(um)))
+    r = np.flip(np.maximum.accumulate(np.flip(cellmax, axis=1), axis=1),
+                axis=1)
+    d1 = (r - a1).max(axis=1)
+    d2 = (r - cellmin).max(axis=1)
+    dsup = np.maximum(np.maximum(d1, d2), 0.0)
+    mw = np.minimum(cellmin.min(axis=1), 0.0)
+    return np.where(dsup > u, 1.0,
+                    np.exp(-2.0 * c * np.maximum(u - (y[:, -1] - mw), 0.0)))

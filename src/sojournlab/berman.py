@@ -58,6 +58,9 @@ class ConstantEstimate:
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.std_err)):
+            raise mc.NumericFailure(f"non-finite estimate {self.value!r} "
+                                    f"with std_err {self.std_err!r}")
         if self.value < 0:
             raise ValueError("constant estimates are nonnegative by construction")
         if self.std_err < 0:
@@ -424,9 +427,15 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
         vals.append(v)
         ses.append(se)
     fit = mc.fit_line(sched, vals, ses)
+    if fit.slope < 0:
+        raise mc.NumericFailure(
+            f"fitted slope {fit.slope:.6g} +- {fit.slope_se:.2g} is negative; "
+            "raise n_samples or lengthen the S schedule")
     flags = []
     r = fit.residuals
-    if len(r) >= 3 and np.sign(r[0]) == np.sign(r[-1]) != np.sign(r[1]):
+    # a line through 3 points always leaves residual signs (+,-,+) or
+    # (-,+,-), so the curvature check needs a 4th entry to mean anything
+    if len(r) >= 4 and np.sign(r[0]) == np.sign(r[-1]) != np.sign(r[1]):
         flags.append("fit-curvature")  # schedule likely too short for the limit
     return ConstantEstimate(fit.slope, fit.slope_se, n_samples * len(sched),
                             delta, (0.0, sched[-1]), 1.0, seed,

@@ -345,12 +345,13 @@ def _run_double_sum(cfg, workers):
     sched = _floats(cfg["n_schedule"])
     res = double_sum_diagnostic(family, cfg["u"], tuple(sched), cfg["seed"],
                                 settings=settings, n_sims=cfg["n_sims"],
-                                independent_blocks=cfg["independent_blocks"])
+                                independent_blocks=cfg["independent_blocks"],
+                                workers=workers)
     header = ("n", "ratio", "std_err", "joint", "single", "blocks")
     rows = [(res.n_schedule[i], res.ratios[i], res.std_errs[i],
              res.joint_counts[i], res.single_counts[i], res.n_blocks[i])
             for i in range(len(res.n_schedule))]
-    return header, rows, [], {"main": cfg["seed"]}
+    return header, rows, [], {"main": res.metadata["stream_ids"]}
 
 
 def _run_oracle(cfg, workers):
@@ -417,9 +418,9 @@ def build_parser():
                         help="base RNG seed; drawn and recorded if omitted")
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Monte Carlo chunks of "
-                             "estimate-constant, convergence and the "
-                             "run-experiment target curves; no effect on "
-                             "double-sum and oracle")
+                             "estimate-constant, convergence, double-sum and "
+                             "the run-experiment target curves; no effect on "
+                             "oracle")
         sp.add_argument("--out", default="sojournlab-out",
                         help="output directory")
         for opt in opts:

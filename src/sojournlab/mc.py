@@ -5,6 +5,11 @@ Philox generator keyed by (seed, chunk index). Work is split into fixed-size
 chunks and chunk results are reduced in index order, so a run is bitwise
 reproducible for a given (seed, chunk_size) no matter how many workers
 execute the chunks.
+
+Samples are iid, so the standard error of a mean is the per-sample
+standard deviation (ddof=1, pooled over all chunks) over sqrt(n): it is
+valid for a single chunk and has n - 1 degrees of freedom whatever the
+chunk size.
 """
 
 from collections import namedtuple
@@ -48,21 +53,19 @@ def _run_chunk(kernel, seed, chunk_index, chunk_n, params, width=None):
 
 
 def chunked_mean(kernel, n_samples, seed, params=None, width=None,
-                 chunk_size=DEFAULT_CHUNK, workers=1, min_batches=30):
-    """Mean and batch-means standard error of a sample kernel.
+                 chunk_size=DEFAULT_CHUNK, workers=1):
+    """Mean and per-sample standard error of a sample kernel.
 
     kernel(rng, m, params) must return m per-sample values, or an (m, width)
     array when width is given; then every column comes from the same
     samples, so column estimates share the per-path randomness (exact
     pathwise monotonicity across columns is preserved when the kernel
-    guarantees it). Chunks are the batching unit; adjacent chunks are merged
-    into >= min_batches batches (fewer only when there are not enough chunks
-    to go around). Returns (mean, se, n_chunks), with mean and se arrays of
+    guarantees it). Returns (mean, se, n_chunks), with mean and se arrays of
     length width when width is given.
     """
     n_samples = int(n_samples)
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2 for a standard error")
     sizes = [chunk_size] * (n_samples // chunk_size)
     rem = n_samples % chunk_size
     if rem:
@@ -83,33 +86,11 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
             sums[k], sqs[k] = _run_chunk(kernel, seed, k, sizes[k], params, width)
 
     mean = sums.sum(axis=0) / n_samples
-    se = batch_se(sums, np.asarray(sizes, dtype=float), min_batches=min_batches)
+    var = (sqs.sum(axis=0) - n_samples * mean ** 2) / (n_samples - 1)
+    se = np.sqrt(np.maximum(var, 0.0) / n_samples)
     if width is None:
-        return float(mean), se, n_chunks
+        return float(mean), float(se), n_chunks
     return mean, se, n_chunks
-
-
-def batch_se(chunk_sums, chunk_sizes, min_batches=30):
-    """Standard error of the overall mean from per-chunk sums via batch means.
-
-    chunk_sums may be (n_chunks,) or (n_chunks, width); the result matches.
-    """
-    chunk_sums = np.asarray(chunk_sums, dtype=float)
-    n_chunks = chunk_sums.shape[0]
-    n_batches = min(max(min_batches, 1), n_chunks)
-    edges = np.linspace(0, n_chunks, n_batches + 1).astype(int)
-    bs = []
-    for i in range(n_batches):
-        lo, hi = edges[i], edges[i + 1]
-        if hi <= lo:
-            continue
-        w = chunk_sizes[lo:hi].sum()
-        bs.append(chunk_sums[lo:hi].sum(axis=0) / w)
-    bs = np.asarray(bs)
-    if bs.shape[0] < 2:
-        return np.full(chunk_sums.shape[1:], np.nan) if chunk_sums.ndim > 1 else float("nan")
-    out = bs.std(axis=0, ddof=1) / math.sqrt(bs.shape[0])
-    return out if chunk_sums.ndim > 1 else float(out)
 
 
 def wilson_interval(k, n, z=1.959963984540054):
@@ -130,12 +111,15 @@ def fit_line(xs, ys, ses):
     """Weighted least squares fit y = slope*x + intercept.
 
     Weights 1/se^2 with the given ses taken as true standard errors (the
-    parameter covariance is (A'WA)^-1, not rescaled by residuals).
+    parameter covariance is (A'WA)^-1, not rescaled by residuals). A
+    non-finite se is a NumericFailure; a zero se gives unit weights.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ses = np.asarray(ses, dtype=float)
-    if np.any(~np.isfinite(ses)) or np.any(ses <= 0):
+    if not np.all(np.isfinite(ses)):
+        raise NumericFailure(f"line fit needs finite standard errors, got {ses}")
+    if np.any(ses <= 0):
         ses = np.ones_like(ys)
     w = 1.0 / ses ** 2
     A = np.vstack([xs, np.ones_like(xs)]).T

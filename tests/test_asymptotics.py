@@ -183,6 +183,25 @@ def test_double_sum_ratio_decreases_with_block_size():
     assert all(se > 0 for se in res.std_errs)
 
 
+def test_double_sum_one_batch_has_finite_errors():
+    """n_sims == sim_batch is a single chunk; its errors are still finite."""
+    settings = ExperimentSettings(domain_T=2.0, sim_batch=20_000)
+    res = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+                                seed=5, settings=settings, n_sims=20_000)
+    assert len(res.metadata["stream_ids"]) == 1
+    assert all(np.isfinite(se) and se > 0 for se in res.std_errs)
+
+
+def test_double_sum_worker_invariance():
+    settings = ExperimentSettings(domain_T=2.0, sim_batch=5_000)
+    one = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+                                seed=3, settings=settings, n_sims=15_000)
+    two = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+                                seed=3, settings=settings, n_sims=15_000,
+                                workers=2)
+    assert one == two
+
+
 def test_double_sum_independent_blocks_control():
     """With independently simulated blocks the ratio must match the
     binomial value (K - 1) p, a sanity check on the counting identity."""
@@ -247,3 +266,5 @@ def test_queue_window_mc_matches_prediction_roughly():
     assert 0.75 * est < pred < 1.05 * est
     again = queue_window_exceed_mc(4.0, 1.0, 2.0, n_paths=30_000, seed=5)
     assert (est, se) == again
+    assert queue_window_exceed_mc(4.0, 1.0, 2.0, n_paths=30_000,
+                                  seed=6)[0] != est

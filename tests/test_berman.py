@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sojournlab import mc
 from sojournlab.berman import (NO_DRIFT, ConstantEstimate, DomainRule,
                                berman2_parabola_oracle, berman_curve_1d,
                                berman_curve_2d, brownian_sup_oracle,
@@ -117,6 +118,22 @@ def test_constant_estimate_rejects_negative_value():
     with pytest.raises(ValueError):
         ConstantEstimate(value=-0.1, std_err=0.0, n_samples=1, grid_step=1.0,
                          domain=(0.0, 1.0), normalization=1.0, seed=0)
+
+
+def test_constant_estimate_rejects_non_finite():
+    for value, se in ((1.0, math.nan), (math.inf, 0.1), (math.nan, 0.1)):
+        with pytest.raises(mc.NumericFailure):
+            ConstantEstimate(value=value, std_err=se, n_samples=1,
+                             grid_step=1.0, domain=(0.0, 1.0),
+                             normalization=1.0, seed=0)
+
+
+def test_limit_three_entry_schedule_has_no_curvature_flag():
+    """Three residuals of a line fit always alternate in sign, so the
+    curvature check only runs on schedules of four or more entries."""
+    est = estimate_berman_1d_limit(2.0, n_samples=3000, seed=8)
+    assert len(est.metadata["per_S"]) == 3
+    assert "fit-curvature" not in est.flags
 
 
 def test_limit_slope_alpha2():

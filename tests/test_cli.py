@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sojournlab import cli
+from sojournlab import cli, mc
 
 
 def _run(argv):
@@ -255,3 +255,20 @@ def test_bad_env_value(tmp_path, monkeypatch, capsys):
     rc = _run(["estimate-constant", "--out", str(tmp_path / "b")])
     assert rc == 2
     assert "SOJOURNLAB_N_SAMPLES" in capsys.readouterr().err
+
+
+def test_negative_limit_slope_is_a_numeric_failure(tmp_path, monkeypatch,
+                                                   capsys):
+    """A negative fitted slope is Monte Carlo noise in a valid
+    configuration: exit 3, not a configuration error."""
+    fit_line = mc.fit_line
+
+    def negative(xs, ys, ses):
+        return fit_line(xs, ys, ses)._replace(slope=-0.01)
+
+    monkeypatch.setattr(mc, "fit_line", negative)
+    rc = _run(["estimate-constant", "--family", "limit-1d", "--alpha", "1.5",
+               "--x", "0.2", "--n-samples", "500", "--seed", "3",
+               "--out", str(tmp_path / "neg")])
+    assert rc == 3
+    assert "negative" in capsys.readouterr().err

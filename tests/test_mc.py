@@ -129,6 +129,21 @@ def test_fit_line_weights_tight_points_harder():
     assert abs(loose_last.intercept) < 0.01
 
 
-def test_batch_se_needs_two_batches():
-    # a single chunk cannot produce a spread estimate
-    assert np.isnan(mc.batch_se(np.array([10.0]), np.array([100.0])))
+def test_chunked_mean_one_chunk_se():
+    """One chunk still gives a finite standard error: the per-sample SD of
+    the same draws over sqrt(n)."""
+    n = 3000
+    mean, se, n_chunks = mc.chunked_mean(_kernel, n, seed=6,
+                                         params={"s": 1.0})
+    draws = _kernel(mc.substream(6, 0), n, {"s": 1.0})
+    assert n_chunks == 1
+    assert np.isclose(mean, draws.mean(), rtol=1e-12, atol=0.0)
+    assert np.isclose(se, draws.std(ddof=1) / np.sqrt(n), rtol=1e-9,
+                      atol=0.0)
+    with pytest.raises(ValueError):
+        mc.chunked_mean(_kernel, 1, seed=6, params={"s": 1.0})
+
+
+def test_fit_line_rejects_non_finite_se():
+    with pytest.raises(mc.NumericFailure):
+        mc.fit_line([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, np.nan, 0.1])

@@ -11,14 +11,20 @@ that should only restructure code is checked by diffing the output:
     (in the other checkout) python3 tools/table_digests.py > before.txt
     diff before.txt after.txt
 
+A run that exits nonzero prints `exit <code>` instead of a digest, and a
+table with a nan or inf cell gets `nonfinite ` in front of its line; either
+makes the script exit 1.
+
 Standard library only; the package is imported from the `src` directory
 next to this file. The whole set takes a few minutes on two cores.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -62,25 +68,38 @@ RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK
 
 
 def table_digest(argv, out):
-    """(exit code, sha256 hex of the table or None) of one CLI run."""
+    """(exit code, sha256 hex of the table, whether a cell is nan or inf) of
+    one CLI run; the digest is None when the run fails."""
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv + ["--out", out])
     if rc != 0:
-        return rc, None
+        return rc, None, False
     with open(os.path.join(out, cli.MANIFEST_NAME)) as fh:
-        table = json.load(fh)["outputs"]["table"]
-    with open(os.path.join(out, table), "rb") as fh:
-        return rc, hashlib.sha256(fh.read()).hexdigest()
+        table = os.path.join(out, json.load(fh)["outputs"]["table"])
+    with open(table, "rb") as fh:
+        data = fh.read()
+    cells = [c for row in csv.reader(io.StringIO(data.decode())) for c in row]
+    return rc, hashlib.sha256(data).hexdigest(), not all(map(_finite, cells))
+
+
+def _finite(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return True  # text: the schema line, headers, routes, flags
 
 
 def main():
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, line in enumerate(RUNS):
-            rc, digest = table_digest(line.split(), os.path.join(tmp, str(i)))
+            rc, digest, nonfinite = table_digest(line.split(),
+                                                 os.path.join(tmp, str(i)))
             if digest is None:
-                failed += 1
                 digest = f"exit {rc}"
+            elif nonfinite:
+                digest = "nonfinite " + digest
+            failed += rc != 0 or nonfinite
             print(f"{digest}  {line}", flush=True)
     return 1 if failed else 0
 
