@@ -247,13 +247,20 @@ def _tilted_window(rng, m, alpha, n_cells, d, brownian=False):
     Brownian-bridge cell suprema need."""
     k = rng.integers(0, n_cells + 1, size=m)
     if brownian:
-        inc = rng.standard_normal((m, n_cells)) * math.sqrt(2.0 * d)
-        b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+        inc = rng.standard_normal((m, n_cells))
+        inc *= math.sqrt(2.0 * d)
+        b = np.empty((m, n_cells + 1))
+        b[:, 0] = 0.0
+        np.cumsum(inc, axis=1, out=b[:, 1:])
     else:
-        b = SQRT2 * fbm_batch(rng, m, alpha, n_cells, d)
-    b = b - b[np.arange(m), k][:, None]
+        b = fbm_batch(rng, m, alpha, n_cells, d)
+        b *= SQRT2
+    b -= b[np.arange(m), k][:, None]
     s = (np.arange(n_cells + 1)[None, :] - k[:, None]) * d
-    return b - np.abs(s) ** alpha
+    np.abs(s, out=s)
+    s **= alpha
+    b -= s
+    return b
 
 
 def _axis_sup_factor(rng, m, alpha, length, delta_skel):

@@ -5,9 +5,17 @@ stationary increments (Davies-Harte); stationary unit-variance processes by
 circulant embedding of the covariance sequence with automatic torus padding;
 separable 2D fields by per-axis factorization. Everything is a pure function
 of (spec, grid, seed), so identical inputs give bitwise identical output.
+
+The circulant batches are built in place: a call allocates one complex
+spectrum of (m + 1) // 2 rows, writes the requested columns of its real and
+imaginary parts straight into one output array, and finishes (cumulative
+sum, pin, scale, drift) in that array. The returned array is fresh and owned
+by the caller, who may modify it. The circulant spectra themselves are
+cached per grid and read-only.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -17,6 +25,7 @@ from .mc import NumericFailure
 
 EIG_CLIP_REL = 1e-9          # clip threshold relative to the largest eigenvalue
 _PAD_FACTORS = (1, 2, 4, 8)  # embedding torus enlargements tried in order
+NORMAL_BLOCK_BYTES = 4 << 20  # reused buffer the spectrum normals pass through
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +221,31 @@ class Queue:
 # ---------------------------------------------------------------------------
 # circulant machinery
 
-def _synth_count(m):
-    return (m + 1) // 2
+def _circulant_normals(rng, m, lam, n, scale, out=None):
+    """(m, n) stationary Gaussian rows with circulant covariance eigenvalues
+    lam, times scale, written into out when given.
 
-
-def _circulant_normals(rng, m, lam):
-    """m stationary Gaussian rows with circulant covariance eigenvalues lam."""
+    The normals are drawn as all real parts, then all imaginary parts, row
+    by row, through one small buffer and scaled by sqrt(lam / M) straight
+    into a single complex spectrum, which is transformed in place; real
+    parts give the even rows, imaginary parts the odd ones.
+    """
     M = len(lam)
-    pairs = _synth_count(m)
-    a = rng.standard_normal((pairs, M))
-    b = rng.standard_normal((pairs, M))
-    spec = np.sqrt(lam / M) * (a + 1j * b)
-    z = np.fft.fft(spec, axis=1)
-    out = np.empty((2 * pairs, M))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out[:m]
+    pairs = (m + 1) // 2
+    if out is None:
+        out = np.empty((m, n))
+    root = np.sqrt(lam / M)
+    spec = np.empty((pairs, M), dtype=complex)
+    block = np.empty((max(1, min(pairs, NORMAL_BLOCK_BYTES // (8 * M))), M))
+    for part in (spec.real, spec.imag):
+        for i in range(0, pairs, len(block)):
+            g = block[:pairs - i]
+            rng.standard_normal(out=g)
+            np.multiply(g, root, out=part[i:i + len(g)])
+    np.fft.fft(spec, axis=1, out=spec)
+    np.multiply(spec.real[:, :n], scale, out=out[0::2])
+    np.multiply(spec.imag[:m // 2, :n], scale, out=out[1::2])
+    return out
 
 
 def _guard_eigs(lam, context):
@@ -240,8 +258,10 @@ def _guard_eigs(lam, context):
     return np.maximum(lam, 0.0)
 
 
+@functools.lru_cache(maxsize=32)
 def _fgn_eigs(alpha, n_steps):
-    """Circulant eigenvalues for unit-step fractional Gaussian noise."""
+    """Circulant eigenvalues for unit-step fractional Gaussian noise
+    (cached, read-only)."""
     k = np.arange(n_steps + 1, dtype=float)
     g = 0.5 * (np.abs(k - 1) ** alpha - 2 * k ** alpha + (k + 1) ** alpha)
     circ = np.concatenate([g, g[-2:0:-1]])
@@ -252,6 +272,7 @@ def _fgn_eigs(alpha, n_steps):
             f"fGn(alpha={alpha}, n={n_steps}): embedding eigenvalue "
             f"{lam.min():.3e} below -{EIG_CLIP_REL:g} * max; "
             "use the dense fallback for this grid")
+    ok.flags.writeable = False
     return ok
 
 
@@ -260,9 +281,8 @@ def fbm_increment_batch(rng, m, alpha, n_steps, delta):
     if alpha == 2.0:
         xi = rng.standard_normal(m)
         return (delta * xi)[:, None] * np.ones((1, n_steps))
-    lam = _fgn_eigs(alpha, n_steps)
-    inc = _circulant_normals(rng, m, lam)[:, :n_steps]
-    return inc * delta ** (alpha / 2.0)
+    return _circulant_normals(rng, m, _fgn_eigs(alpha, n_steps), n_steps,
+                              delta ** (alpha / 2.0))
 
 
 def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
@@ -270,16 +290,20 @@ def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
 
     With pin_index = k the rows are distributed as two-sided fBm evaluated on
     the grid (j - k) * delta, j = 0..n_steps. Stationary increments make this
-    a plain re-anchoring of the same increment sequence.
+    a plain re-anchoring of the same increment sequence. The increments are
+    summed in place in the returned array.
     """
     if alpha == 2.0:
         xi = rng.standard_normal(m)
         t = (np.arange(n_steps + 1) - pin_index) * delta
         return xi[:, None] * t[None, :]
-    inc = fbm_increment_batch(rng, m, alpha, n_steps, delta)
-    b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    b = np.empty((m, n_steps + 1))
+    b[:, 0] = 0.0
+    inc = _circulant_normals(rng, m, _fgn_eigs(alpha, n_steps), n_steps,
+                             delta ** (alpha / 2.0), out=b[:, 1:])
+    np.cumsum(inc, axis=1, out=inc)
     if pin_index:
-        b = b - b[:, pin_index][:, None]
+        b -= b[:, pin_index].copy()[:, None]
     return b
 
 
@@ -318,8 +342,10 @@ def simulate_fbm(alpha, grid, seed):
     return SamplePath(grid, values)
 
 
+@functools.lru_cache(maxsize=32)
 def _stationary_eigs(a, alpha, delta, n_points):
-    """Eigenvalues for r(k delta) = exp(-a (k delta)^alpha), padded until valid."""
+    """Eigenvalues for r(k delta) = exp(-a (k delta)^alpha), padded until
+    valid (cached, read-only)."""
     worst = None
     for pad in _PAD_FACTORS:
         P = pad * max(n_points - 1, 1)
@@ -329,6 +355,7 @@ def _stationary_eigs(a, alpha, delta, n_points):
         worst = min(worst, lam.min()) if worst is not None else lam.min()
         ok = _guard_eigs(lam, "stationary embedding")
         if ok is not None:
+            ok.flags.writeable = False
             return ok
     raise NumericFailure(
         f"stationary covariance exp(-{a}|t|^{alpha}) not embeddable at step "
@@ -338,7 +365,7 @@ def _stationary_eigs(a, alpha, delta, n_points):
 def stationary_batch(rng, m, spec, n_points, delta):
     """(m, n_points) stationary unit-variance paths for a StationaryExp1D spec."""
     lam = _stationary_eigs(spec.a, spec.alpha, delta, n_points)
-    return _circulant_normals(rng, m, lam)[:, :n_points]
+    return _circulant_normals(rng, m, lam, n_points, 1.0)
 
 
 def _axis_root(a, alpha, times):
@@ -368,11 +395,11 @@ def queue_batch(rng, m, spec, n_points, delta, u_ref=None):
     H = spec.horizon_mult * spec.tau_star * uref
     w = max(int(math.ceil(H / delta)), 1)
     total_steps = (n_points - 1) + w
-    b = fbm_batch(rng, m, spec.alpha, total_steps, delta)
-    t = np.arange(total_steps + 1) * delta
-    y = b - spec.c * t[None, :]
-    r = sliding_max(y, w + 1)
-    return (r - y)[:, :n_points]
+    y = fbm_batch(rng, m, spec.alpha, total_steps, delta)
+    y -= spec.c * (np.arange(total_steps + 1) * delta)[None, :]
+    q = sliding_max(y, w + 1)[:, :n_points]
+    q -= y[:, :n_points]
+    return q
 
 
 def sliding_max(y, width):
@@ -395,10 +422,12 @@ def sliding_max(y, width):
 def chi_batch(rng, m, spec, n_points, delta):
     lam = _stationary_eigs(spec.base.a, spec.base.alpha, delta, n_points)
     acc = np.zeros((m, n_points))
+    x = np.empty((m, n_points))
     for _ in range(spec.m):
-        x = _circulant_normals(rng, m, lam)[:, :n_points]
-        acc += x * x
-    return np.sqrt(acc)
+        _circulant_normals(rng, m, lam, n_points, 1.0, out=x)
+        x *= x
+        acc += x
+    return np.sqrt(acc, out=acc)
 
 
 def w_field_batch(rng, m, spec, times, pin_index):
@@ -412,8 +441,10 @@ def w_field_batch(rng, m, spec, times, pin_index):
     if spec.alpha == 0.0:
         return np.tile(-drift_term, (m, 1))
     delta = t[1] - t[0]
-    b = fbm_batch(rng, m, spec.alpha, len(t) - 1, delta, pin_index=pin_index)
-    return math.sqrt(2.0) * b - drift_term[None, :]
+    w = fbm_batch(rng, m, spec.alpha, len(t) - 1, delta, pin_index=pin_index)
+    w *= math.sqrt(2.0)
+    w -= drift_term[None, :]
+    return w
 
 
 def simulate_process(spec, grid, seed, u_ref=None):

@@ -5,13 +5,14 @@ import pytest
 
 from sojournlab import mc
 from sojournlab.berman import (NO_DRIFT, ConstantEstimate, DomainRule,
+                               _tilted_window,
                                berman2_parabola_oracle, berman_curve_1d,
                                berman_curve_2d, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
                                estimate_berman_2d, estimate_bhat,
                                estimate_pickands,
                                parabola_constant_closed_form)
-from sojournlab.gaussim import DriftSpec
+from sojournlab.gaussim import DriftSpec, fbm_batch
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -241,3 +242,26 @@ def test_bhat_two_routes_agree_cheap():
     assert abs(direct.value - product.value) < 4 * se
     assert direct.value > 0
     assert product.metadata["pickands_factors"]
+
+
+def _ref_tilted_window(rng, m, alpha, n_cells, d, brownian=False):
+    """The re-anchored window as full-size temporaries."""
+    k = rng.integers(0, n_cells + 1, size=m)
+    if brownian:
+        inc = rng.standard_normal((m, n_cells)) * math.sqrt(2.0 * d)
+        b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    else:
+        b = math.sqrt(2.0) * fbm_batch(rng, m, alpha, n_cells, d)
+    b = b - b[np.arange(m), k][:, None]
+    s = (np.arange(n_cells + 1)[None, :] - k[:, None]) * d
+    return b - np.abs(s) ** alpha
+
+
+def test_tilted_window_in_place_matches_reference():
+    for m, alpha, brownian in ((1, 1.5, False), (3, 0.5, False),
+                               (64, 1.9, False), (5, 1.0, True)):
+        def rng():
+            return np.random.Generator(np.random.Philox(m))
+        got = _tilted_window(rng(), m, alpha, 40, 0.05, brownian=brownian)
+        want = _ref_tilted_window(rng(), m, alpha, 40, 0.05, brownian)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,15 +1,18 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sojournlab.gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D,
                                 Queue, SamplePath, ScaledVariance2D,
-                                StationaryExp1D, StationaryExp2D, chi_batch,
-                                fbm_batch, fbm_increment_batch, normal_tail,
-                                queue_batch, simulate_fbm, simulate_process,
-                                sliding_max, stationary2d_batch,
-                                stationary_batch, w_field_batch)
+                                StationaryExp1D, StationaryExp2D, _fgn_eigs,
+                                _stationary_eigs, chi_batch, fbm_batch,
+                                fbm_increment_batch, normal_tail, queue_batch,
+                                simulate_fbm, simulate_process, sliding_max,
+                                stationary2d_batch, stationary_batch,
+                                w_field_batch)
 
 
 def _rng(seed):
@@ -193,3 +196,103 @@ def test_normal_tail_values():
     # far tail stays positive and accurate where naive 1 - cdf underflows
     assert np.isclose(normal_tail(8.0), norm.sf(8.0), rtol=1e-12)
     assert normal_tail(35.0) > 0
+
+
+# ---------------------------------------------------------------------------
+# the in-place circulant path against the unfused reference formula
+
+def _ref_circulant(rng, m, lam, n):
+    """Unfused Davies-Harte rows: draw all real parts, then all imaginary
+    parts, build the complex spectrum, transform, split, slice."""
+    M = len(lam)
+    pairs = (m + 1) // 2
+    a = rng.standard_normal((pairs, M))
+    b = rng.standard_normal((pairs, M))
+    z = np.fft.fft(np.sqrt(lam / M) * (a + 1j * b), axis=1)
+    out = np.empty((2 * pairs, M))
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out[:m][:, :n]
+
+
+def _ref_increments(rng, m, alpha, n_steps, delta):
+    return _ref_circulant(rng, m, _fgn_eigs(alpha, n_steps), n_steps) \
+        * delta ** (alpha / 2.0)
+
+
+def _ref_fbm(rng, m, alpha, n_steps, delta, pin_index=0):
+    inc = _ref_increments(rng, m, alpha, n_steps, delta)
+    b = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    if pin_index:
+        b = b - b[:, pin_index][:, None]
+    return b
+
+
+def _bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fbm_batch_matches_unfused_reference():
+    for m, alpha, pin in itertools.product((1, 2, 3, 64), (0.5, 1.0, 1.5),
+                                           (0, 13)):
+        got = fbm_batch(_rng(m), m, alpha, 40, 0.05, pin_index=pin)
+        _bitwise(got, _ref_fbm(_rng(m), m, alpha, 40, 0.05, pin))
+
+
+def test_batches_match_unfused_reference():
+    for m in (1, 2, 3, 33):
+        _bitwise(fbm_increment_batch(_rng(m), m, 1.3, 25, 0.1),
+                 _ref_increments(_rng(m), m, 1.3, 25, 0.1))
+
+        t = np.linspace(-1.0, 2.0, 31)
+        spec = FbmW(1.5, DriftSpec(0.7, 1.2))
+        drift = np.abs(t) ** 1.5 + spec.drift.h(t)
+        b = _ref_fbm(_rng(m), m, 1.5, 30, t[1] - t[0], 10)
+        want = math.sqrt(2.0) * b - drift[None, :]
+        _bitwise(w_field_batch(_rng(m), m, spec, t, 10), want)
+
+        st = StationaryExp1D(0.8, 1.2)
+        lam = _stationary_eigs(0.8, 1.2, 0.25, 12)
+        _bitwise(stationary_batch(_rng(m), m, st, 12, 0.25),
+                 _ref_circulant(_rng(m), m, lam, 12))
+
+        acc = np.zeros((m, 12))
+        r = _rng(m)
+        for _ in range(3):
+            x = _ref_circulant(r, m, lam, 12)
+            acc += x * x
+        _bitwise(chi_batch(_rng(m), m, Chi(3, st), 12, 0.25), np.sqrt(acc))
+
+        q = Queue(1.5, 0.5)
+        w = max(int(math.ceil(q.horizon_mult * q.tau_star * 2.0 / 0.1)), 1)
+        y = _ref_fbm(_rng(m), m, 1.5, 9 + w, 0.1) \
+            - q.c * (np.arange(10 + w) * 0.1)[None, :]
+        _bitwise(queue_batch(_rng(m), m, q, 10, 0.1, u_ref=2.0),
+                 (sliding_max(y, w + 1) - y)[:, :10])
+
+
+def test_spectra_are_cached_read_only():
+    lam = _fgn_eigs(1.5, 64)
+    assert _fgn_eigs(1.5, 64) is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    assert len(_fgn_eigs(1.5, 32)) != len(lam)
+    st = _stationary_eigs(0.8, 1.2, 0.25, 12)
+    assert _stationary_eigs(0.8, 1.2, 0.25, 12) is st
+    assert not st.flags.writeable
+    assert _stationary_eigs(0.8, 1.2, 0.25, 13) is not st
+
+
+def test_fbm_batch_peak_memory():
+    """One spectrum and one output: the traced peak stays near 3x the
+    returned bytes (the unfused path peaked at 8x)."""
+    _fgn_eigs(1.5, 4096)
+    tracemalloc.start()
+    try:
+        b = fbm_batch(_rng(0), 1024, 1.5, 4096, 1.0 / 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * b.nbytes

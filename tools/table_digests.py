@@ -1,8 +1,8 @@
 """Print a SHA-256 digest of every CLI table in a fixed set of runs.
 
 Runs the README's CLI examples, the manifest-replay configurations of
-acceptance criterion 9 and the argv of both benchmark workloads, each at a
-fixed seed, through `sojournlab.cli.main` into a temporary directory. For
+acceptance criterion 9, the argv of both benchmark workloads and a few runs
+that reach the remaining path synthesis routes, each at a fixed seed, through `sojournlab.cli.main` into a temporary directory. For
 each run it prints one line, `<sha256 of the table>  <argv>`. Two checkouts
 that print the same lines write the same tables byte for byte, so a change
 that should only restructure code is checked by diffing the output:
@@ -64,7 +64,21 @@ BENCHMARK = [
     "--n-conditioned 800 --target-samples 4096 --seed 1",
 ]
 
-RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK
+# path synthesis routes the runs above miss: an interior pin, the tilted
+# window, a 2D lattice and the queue paths (about 1 s together)
+SYNTHESIS = [
+    "estimate-constant --family plain-1d --alpha 1.5 --x 0.3 --interval=-1,1 "
+    "--n-grid 257 --n-samples 4000 --seed 4",
+    "estimate-constant --family limit-1d --alpha 1.5 --x 0.2 --s-schedule "
+    "2,4,8 --n-samples 2000 --seed 6",
+    "estimate-constant --family plain-2d --alpha 1.5 --alpha2 0.5 --x 0.2 "
+    "--n-grid-axis 65 --n-samples 2000 --seed 8",
+    "run-experiment --family queue --alpha 1.5 --u 1.5 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 2000 --max-sims 200000 "
+    "--target-samples 2000 --seed 10",
+]
+
+RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS
 
 
 def table_digest(argv, out):
