@@ -12,10 +12,11 @@ from .gaussim import (Chi, DriftSpec, FbmW, Field2D, GridSpec, Lattice2D,
                       simulate_fbm, simulate_process, sliding_max,
                       stationary2d_batch, stationary_batch, w_field_batch)
 from .sojourn import (LevelResult, SojournProfile, batch_levels,
-                      level_for_sojourn, level_rank, reduction_quadrature,
-                      sojourn_profile, sojourn_time, supremum)
+                      batch_levels_in_place, level_for_sojourn, level_rank,
+                      reduction_quadrature, sojourn_profile, sojourn_time,
+                      supremum)
 from .mc import (DEFAULT_CHUNK, LineFit, NumericFailure, chunked_mean,
-                 derive_seed, fit_line, stream_ids, substream,
+                 derive_seed, fit_line, generator, stream_ids, substream,
                  wilson_interval)
 from .berman import (DEFAULT_LIMIT_SCHEDULE, NO_DRIFT, ConstantEstimate,
                      DomainRule, berman_curve_1d, berman_curve_2d,

@@ -230,8 +230,7 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         raise ValueError("n_target_conditioned must be >= 1")
     t0 = time.perf_counter()
     v_u = scaling_function(family, u)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(mc.derive_seed(seed, 0xE))))
+    rng = mc.generator(mc.derive_seed(seed, 0xE))
 
     vols, n_sims, domain_vol, grid_meta = _collect_conditioned(
         family, settings, u, rng, n_target_conditioned)

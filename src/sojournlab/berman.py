@@ -32,7 +32,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import mc
 from .gaussim import DriftSpec, FbmW, fbm_batch, w_field_batch
-from .sojourn import batch_levels
+from .sojourn import batch_levels_in_place
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -206,15 +206,16 @@ def brownian_sup_oracle(S):
 # ---------------------------------------------------------------------------
 # sampling kernels (module level so worker processes can unpickle them)
 #
-# p["x"] is one sojourn size or a tuple of them: batch_levels reduces each
-# path to one value, or to one column per x from the same paths.
+# p["x"] is one sojourn size or a tuple of them: batch_levels_in_place
+# reduces each path to one value, or to one column per x from the same
+# paths, reordering the kernel's own path array instead of copying it.
 
 def _w1d_kernel(rng, m, p):
     """exp(z_x) for W_alpha paths with drift on a fixed 1D grid."""
     t = p["t"]
     w = w_field_batch(rng, m, FbmW(p["alpha"], p["drift"]), t,
                       int(np.argmin(np.abs(t))))
-    return np.exp(batch_levels(w, t[1] - t[0], p["x"]))
+    return np.exp(batch_levels_in_place(w, t[1] - t[0], p["x"]))
 
 
 def _w2d_kernel(rng, m, p):
@@ -224,7 +225,7 @@ def _w2d_kernel(rng, m, p):
     w2 = w_field_batch(rng, m, FbmW(a2, d2), t2, int(np.argmin(np.abs(t2))))
     area = (t1[1] - t1[0]) * (t2[1] - t2[0])
     f = w1[:, :, None] + w2[:, None, :]
-    return np.exp(batch_levels(f.reshape(m, -1), area, p["x"]))
+    return np.exp(batch_levels_in_place(f.reshape(m, -1), area, p["x"]))
 
 
 def _parabola_window(rng, m, length):
@@ -316,7 +317,8 @@ def _bhat_direct_kernel(rng, m, p):
         sup_i, r_i = _axis_sup_factor(rng, m, alpha_i, p["n_rest"], p["delta_rest"])
         add += sup_i
         ratio *= r_i
-    return ratio * np.exp(batch_levels(w1 + add[:, None], step, p["x"]))
+    w1 += add[:, None]
+    return ratio * np.exp(batch_levels_in_place(w1, step, p["x"]))
 
 
 def _tilted_kernel(rng, m, p):
@@ -346,8 +348,8 @@ def _tilted_kernel(rng, m, p):
         xi, lo, hi, mass = _parabola_window(rng, m, S)
         return S * np.exp(_parabola_level(xi, lo, hi, x)) / mass
     v = _tilted_window(rng, m, alpha, int(round(S / delta)), delta)
-    num = np.exp(batch_levels(v, delta, x))
     scale = (S + delta) / (delta * np.exp(v).sum(axis=1))
+    num = np.exp(batch_levels_in_place(v, delta, x))
     return num * (scale if num.ndim == 1 else scale[:, None])
 
 

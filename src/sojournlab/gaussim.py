@@ -6,12 +6,19 @@ circulant embedding of the covariance sequence with automatic torus padding;
 separable 2D fields by per-axis factorization. Everything is a pure function
 of (spec, grid, seed), so identical inputs give bitwise identical output.
 
-The circulant batches are built in place: a call allocates one complex
+The circulant batches are built in place: a call fills one complex
 spectrum of (m + 1) // 2 rows, writes the requested columns of its real and
 imaginary parts straight into one output array, and finishes (cumulative
 sum, pin, scale, drift) in that array. The returned array is fresh and owned
 by the caller, who may modify it. The circulant spectra themselves are
 cached per grid and read-only.
+
+The transient complex spectrum and the buffer its normals pass through never
+leave a call. While a Monte Carlo chunk runs (`mc.chunked_mean`), they come
+from the chunk's workspace and are reused by every row block of the chunk;
+the workspace is released when the chunk's kernel calls end, and calls
+outside a chunk allocate them afresh. Returned arrays never come from the
+workspace, so two batches held at once never alias.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .mc import NumericFailure
+from .mc import ROW_BLOCK, NumericFailure, _scratch, generator
 
 EIG_CLIP_REL = 1e-9          # clip threshold relative to the largest eigenvalue
 _PAD_FACTORS = (1, 2, 4, 8)  # embedding torus enlargements tried in order
@@ -235,8 +242,9 @@ def _circulant_normals(rng, m, lam, n, scale, out=None):
     if out is None:
         out = np.empty((m, n))
     root = np.sqrt(lam / M)
-    spec = np.empty((pairs, M), dtype=complex)
-    block = np.empty((max(1, min(pairs, NORMAL_BLOCK_BYTES // (8 * M))), M))
+    spec = _scratch("spectrum", (pairs, M), complex)
+    block = _scratch("normals",
+                     (max(1, min(pairs, NORMAL_BLOCK_BYTES // (8 * M))), M))
     for part in (spec.real, spec.imag):
         for i in range(0, pairs, len(block)):
             g = block[:pairs - i]
@@ -332,8 +340,7 @@ def simulate_fbm(alpha, grid, seed):
         raise ValueError("alpha must lie in (0, 2]")
     if abs(grid.start) > 1e-12:
         raise ValueError("fBm grids must start at 0 (path pinned at the origin)")
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     n_steps = grid.n_points - 1
     if alpha < 2.0 and n_steps < 8:
         values = _dense_fbm(rng, 1, alpha, grid.times())[0]
@@ -368,19 +375,24 @@ def stationary_batch(rng, m, spec, n_points, delta):
     return _circulant_normals(rng, m, lam, n_points, 1.0)
 
 
-def _axis_root(a, alpha, times):
-    """Symmetric square root of the 1D exponential covariance on a grid."""
+@functools.lru_cache(maxsize=32)
+def _axis_root(a, alpha, axis):
+    """Square root of the 1D exponential covariance on a GridSpec axis
+    (cached, read-only)."""
+    times = axis.times()
     d = np.abs(times[:, None] - times[None, :])
     cov = np.exp(-a * d ** alpha)
     w, v = np.linalg.eigh(cov)
     w = np.maximum(w, 0.0)
-    return v * np.sqrt(w)[None, :]
+    root = v * np.sqrt(w)[None, :]
+    root.flags.writeable = False
+    return root
 
 
 def stationary2d_batch(rng, m, spec, lattice):
     """(m, n1, n2) fields with separable covariance, via per-axis factorization."""
-    r1 = _axis_root(spec.a1, spec.alpha1, lattice.axis1.times())
-    r2 = _axis_root(spec.a2, spec.alpha2, lattice.axis2.times())
+    r1 = _axis_root(spec.a1, spec.alpha1, lattice.axis1)
+    r2 = _axis_root(spec.a2, spec.alpha2, lattice.axis2)
     g = rng.standard_normal((m, r1.shape[0], r2.shape[0]))
     return (r1 @ g) @ r2.T
 
@@ -403,19 +415,30 @@ def queue_batch(rng, m, spec, n_points, delta, u_ref=None):
 
 
 def sliding_max(y, width):
-    """Row-wise max over windows [i, i + width - 1] (van Herk two-pass)."""
+    """Row-wise max over windows [i, i + width - 1], cut at the row end.
+
+    Van Herk two-pass: running maxima forward and backward within aligned
+    windows, in row blocks of ROW_BLOCK through two reused buffers, so the
+    temporaries stay a few blocks of rows whatever the number of rows.
+    """
     m, L = y.shape
-    nb = -np.inf
-    pad = (-L) % width
-    yp = np.concatenate([y, np.full((m, pad), nb)], axis=1)
-    blocks = yp.reshape(m, -1, width)
-    head = np.maximum.accumulate(blocks, axis=2).reshape(m, -1)
-    tail = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(m, -1)
+    P = -(-L // width) * width
+    last = P - width + 1  # windows that end inside the padded row
     out = np.empty((m, L))
-    last = min(L, yp.shape[1] - width + 1)
-    out[:, :last] = np.maximum(tail[:, :last], head[:, width - 1:width - 1 + last])
-    if last < L:
-        out[:, last:] = tail[:, last:L]
+    fwd = np.empty((min(m, ROW_BLOCK), P))
+    bwd = np.empty_like(fwd)
+    for i in range(0, m, ROW_BLOCK):
+        k = min(ROW_BLOCK, m - i)
+        f, b = fwd[:k], bwd[:k]
+        f[:, :L] = y[i:i + k]
+        f[:, L:] = -np.inf
+        b[:] = f[:, ::-1]
+        for a in (f, b):
+            w3 = a.reshape(k, -1, width)
+            np.maximum.accumulate(w3, axis=2, out=w3)
+        back = b[:, ::-1]  # max from each column to the end of its window
+        np.maximum(back[:, :last], f[:, width - 1:], out=out[i:i + k, :last])
+        out[i:i + k, last:] = back[:, last:L]
     return out
 
 
@@ -449,8 +472,7 @@ def w_field_batch(rng, m, spec, times, pin_index):
 
 def simulate_process(spec, grid, seed, u_ref=None):
     """One replicate of any ProcessSpec variant on a grid or lattice."""
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     if isinstance(spec, FbmW):
         t = grid.times()
         k = int(np.argmin(np.abs(t)))

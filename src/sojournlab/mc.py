@@ -1,10 +1,19 @@
 """Chunked deterministic Monte Carlo plumbing.
 
-Every estimator in this package draws randomness through `substream`, a
-Philox generator keyed by (seed, chunk index). Work is split into fixed-size
+Every estimator in this package draws randomness through `generator`, the
+package's one bit generator: SFC64 seeded through a `SeedSequence`, with
+`substream` keying it by (seed, chunk index). Work is split into fixed-size
 chunks and chunk results are reduced in index order, so a run is bitwise
 reproducible for a given (seed, chunk_size) no matter how many workers
 execute the chunks.
+
+Inside a chunk the sample kernel runs on successive blocks of ROW_BLOCK
+rows, all drawn in order from the chunk's one substream, and the block
+outputs are written into the chunk's output. The block size is therefore
+part of the stream definition: it is a fixed constant, never derived from
+the machine. Blocking keeps a chunk's full path array from ever existing;
+the never-returned temporaries of the path synthesis (`_scratch`) are kept
+for the whole chunk and released when its kernel calls end.
 
 Samples are iid, so the standard error of a mean is the per-sample
 standard deviation (ddof=1, pooled over all chunks) over sqrt(n): it is
@@ -14,26 +23,37 @@ chunk size.
 
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+import contextvars
 import math
 
 import numpy as np
 
 
 DEFAULT_CHUNK = 4096
+ROW_BLOCK = 64  # rows per kernel call inside a chunk; part of the stream
+
+# the running chunk's reusable temporaries by name, or None outside a chunk
+_workspace = contextvars.ContextVar("chunk_workspace", default=None)
 
 
 class NumericFailure(RuntimeError):
     """Raised when a computation cannot proceed for numerical reasons."""
 
 
+def generator(seed, *spawn_key):
+    """SFC64 generator for (seed, spawn_key): the package's one bit generator."""
+    ss = np.random.SeedSequence(entropy=int(seed),
+                                spawn_key=tuple(int(k) for k in spawn_key))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
 def substream(seed, chunk_index):
     """Independent generator for one chunk of one run."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return generator(seed, chunk_index)
 
 
 def stream_ids(seed, n_chunks):
-    return [f"philox:{int(seed)}:{k}" for k in range(n_chunks)]
+    return [f"sfc64:{int(seed)}:{k}" for k in range(n_chunks)]
 
 
 def derive_seed(seed, tag):
@@ -43,12 +63,38 @@ def derive_seed(seed, tag):
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
+def _scratch(name, shape, dtype=float):
+    """Uninitialised array for a temporary that never leaves its caller.
+
+    While a chunk runs, every call with the same name gets a view of one
+    buffer, grown to the largest size asked for, so the chunk's blocks do
+    not allocate it afresh; outside a chunk the array is new.
+    """
+    workspace = _workspace.get()
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = workspace.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = workspace[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _run_chunk(kernel, seed, chunk_index, chunk_n, params, width=None):
     rng = substream(seed, chunk_index)
-    out = np.asarray(kernel(rng, chunk_n, params), dtype=float)
-    want = (chunk_n,) if width is None else (chunk_n, int(width))
-    if out.shape != want:
-        raise ValueError(f"kernel returned shape {out.shape}, expected {want}")
+    tail = () if width is None else (int(width),)
+    out = np.empty((chunk_n,) + tail)
+    token = _workspace.set({})
+    try:
+        for i in range(0, chunk_n, ROW_BLOCK):
+            rows = min(ROW_BLOCK, chunk_n - i)
+            block = np.asarray(kernel(rng, rows, params), dtype=float)
+            if block.shape != (rows,) + tail:
+                raise ValueError(f"kernel returned shape {block.shape}, "
+                                 f"expected {(rows,) + tail}")
+            out[i:i + rows] = block
+    finally:
+        _workspace.reset(token)
     return out.sum(axis=0), np.square(out).sum(axis=0)
 
 
@@ -57,7 +103,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     """Mean and per-sample standard error of a sample kernel.
 
     kernel(rng, m, params) must return m per-sample values, or an (m, width)
-    array when width is given; then every column comes from the same
+    array when width is given; it is called with m <= ROW_BLOCK on
+    successive row blocks of each chunk. Every column comes from the same
     samples, so column estimates share the per-path randomness (exact
     pathwise monotonicity across columns is preserved when the kernel
     guarantees it). Returns (mean, se, n_chunks), with mean and se arrays of

@@ -96,20 +96,28 @@ def batch_levels(values, step, x):
     A scalar x gives a (paths,) array through one partition per row; a
     sequence of x gives a (paths, len(x)) array, one column per x, through
     one sort per row. Entries are -inf where no finite level exists, which
-    downstream exp() maps to an exact 0 contribution.
+    downstream exp() maps to an exact 0 contribution. values is left as it
+    is; batch_levels_in_place reorders an array the caller owns instead of
+    copying it.
     """
+    return batch_levels_in_place(np.array(values, dtype=float), step, x)
+
+
+def batch_levels_in_place(values, step, x):
+    """batch_levels that partitions or sorts each row of values in place."""
     n = values.shape[1]
     if np.ndim(x) == 0:
         m = level_rank(x, step)
         if m > n:
             return np.full(values.shape[0], -np.inf)
-        return np.partition(values, n - m, axis=1)[:, n - m]
-    srt = np.sort(values, axis=1)
+        values.partition(n - m, axis=1)
+        return values[:, n - m].copy()  # not a view that pins all of values
+    values.sort(axis=1)
     out = np.full((values.shape[0], len(x)), -np.inf)
     for j, xj in enumerate(x):
         m = level_rank(xj, step)
         if m <= n:
-            out[:, j] = srt[:, n - m]
+            out[:, j] = values[:, n - m]
     return out
 
 

@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sojournlab import mc
 from sojournlab.berman import (NO_DRIFT, ConstantEstimate, DomainRule,
-                               _tilted_window,
+                               _tilted_kernel, _tilted_window, _w1d_kernel,
+                               _w2d_kernel,
                                berman2_parabola_oracle, berman_curve_1d,
                                berman_curve_2d, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
                                estimate_berman_2d, estimate_bhat,
                                estimate_pickands,
                                parabola_constant_closed_form)
-from sojournlab.gaussim import DriftSpec, fbm_batch
+from sojournlab.gaussim import DriftSpec, FbmW, fbm_batch, w_field_batch
+from sojournlab.sojourn import batch_levels
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -265,3 +268,82 @@ def test_tilted_window_in_place_matches_reference():
         got = _tilted_window(rng(), m, alpha, 40, 0.05, brownian=brownian)
         want = _ref_tilted_window(rng(), m, alpha, 40, 0.05, brownian)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# kernels inside the chunk driver: row blocks and the chunk workspace
+
+def _chunk_outputs(kernel, n, seed, params, width=None):
+    """Per-sample outputs of one chunk as mc._run_chunk computes them."""
+    got = []
+
+    def rec(rng, m, p):
+        out = kernel(rng, m, p)
+        got.append(np.array(out))
+        return out
+
+    mc._run_chunk(rec, seed, 0, n, params, width)
+    return np.concatenate(got)
+
+
+def _blockwise(kernel, n, seed, params):
+    """The same chunk's blocks, computed outside any chunk workspace."""
+    rng = mc.substream(seed, 0)
+    return np.concatenate([kernel(rng, min(mc.ROW_BLOCK, n - i), params)
+                           for i in range(0, n, mc.ROW_BLOCK)])
+
+
+def _bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_w2d_kernel_batches_do_not_alias():
+    """Both axis batches of a block have the same shape, so an output
+    buffer reused across calls would make them one array: the kernel must
+    match a reference that copies each batch before drawing the next."""
+    t = np.linspace(-1.0, 1.0, 33)
+    p = {"axes": ((t, 1.5, DriftSpec()), (t, 1.5, DriftSpec(0.5, 1.0))),
+         "x": 0.2}
+
+    def ref(rng, m, p):
+        (t1, a1, d1), (t2, a2, d2) = p["axes"]
+        w1 = w_field_batch(rng, m, FbmW(a1, d1), t1, 16).copy()
+        w2 = w_field_batch(rng, m, FbmW(a2, d2), t2, 16).copy()
+        f = w1[:, :, None] + w2[:, None, :]
+        return np.exp(batch_levels(f.reshape(m, -1), (t1[1] - t1[0]) ** 2,
+                                   p["x"]))
+
+    n = mc.ROW_BLOCK + 9
+    _bitwise(_chunk_outputs(_w2d_kernel, n, 5, p), _blockwise(ref, n, 5, p))
+
+
+def test_kernels_in_chunk_match_fresh_arrays():
+    """Workspace reuse across a chunk's blocks, the short last block
+    included, gives the bits of fresh arrays on every block."""
+    n = 2 * mc.ROW_BLOCK + 7
+    t = np.linspace(-0.5, 1.0, 97)
+    w1d = {"t": t, "alpha": 1.3, "drift": DriftSpec(0.4, 1.5), "x": 0.25}
+    _bitwise(_chunk_outputs(_w1d_kernel, n, 8, w1d),
+             _blockwise(_w1d_kernel, n, 8, w1d))
+    grid = dict(w1d, x=(0.0, 0.25, 0.7))
+    _bitwise(_chunk_outputs(_w1d_kernel, n, 8, grid, width=3),
+             _blockwise(_w1d_kernel, n, 8, grid))
+    tilted = {"alpha": 1.5, "x": (0.0, 0.5), "S": 8.0, "delta": 1.0 / 16}
+    _bitwise(_chunk_outputs(_tilted_kernel, n, 9, tilted, width=2),
+             _blockwise(_tilted_kernel, n, 9, tilted))
+
+
+def test_w1d_chunk_peak_memory():
+    """A 4096-path chunk at 4097 points never holds its path array
+    (4096 x 4097 doubles, 134 MB): the traced peak stays under 16 MB."""
+    t = np.linspace(0.0, 1.0, 4097)
+    p = {"t": t, "alpha": 1.5, "drift": DriftSpec(), "x": 0.2}
+    mc._run_chunk(_w1d_kernel, 1, 0, 8, p)  # caches the spectrum
+    tracemalloc.start()
+    try:
+        mc._run_chunk(_w1d_kernel, 1, 0, 4096, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -7,8 +7,8 @@ import pytest
 
 from sojournlab.gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D,
                                 Queue, SamplePath, ScaledVariance2D,
-                                StationaryExp1D, StationaryExp2D, _fgn_eigs,
-                                _stationary_eigs, chi_batch, fbm_batch,
+                                StationaryExp1D, StationaryExp2D, _axis_root,
+                                _fgn_eigs, _stationary_eigs, chi_batch, fbm_batch,
                                 fbm_increment_batch, normal_tail, queue_batch,
                                 simulate_fbm, simulate_process, sliding_max,
                                 stationary2d_batch, stationary_batch,
@@ -163,13 +163,14 @@ def test_queue_spec_validation():
 
 
 def test_sliding_max_matches_naive():
+    """Exactly, over several row blocks and a window wider than the row."""
     rng = _rng(4)
-    y = rng.standard_normal((20, 37))
-    for w in (1, 4, 11, 37):
+    y = rng.standard_normal((150, 37))
+    for w in (1, 4, 11, 37, 40):
         got = sliding_max(y, w)
         want = np.array([[y[i, j:j + w].max() for j in range(37)]
-                         for i in range(20)])
-        assert np.allclose(got, want), w
+                         for i in range(150)])
+        assert np.array_equal(got, want), w
 
 
 def test_simulate_fbm_deterministic():
@@ -285,6 +286,18 @@ def test_spectra_are_cached_read_only():
     assert _stationary_eigs(0.8, 1.2, 0.25, 13) is not st
 
 
+def test_axis_roots_are_cached_read_only():
+    """stationary2d_batch runs once per row block inside a chunk, so its
+    per-axis eigendecompositions must not be redone on every call."""
+    axis = GridSpec(0.0, 2.0, 17)
+    root = _axis_root(1.0, 1.5, axis)
+    assert _axis_root(1.0, 1.5, GridSpec(0.0, 2.0, 17)) is root
+    assert not root.flags.writeable
+    t = axis.times()
+    cov = np.exp(-np.abs(t[:, None] - t[None, :]) ** 1.5)
+    assert np.allclose(root @ root.T, cov, atol=1e-10)
+
+
 def test_fbm_batch_peak_memory():
     """One spectrum and one output: the traced peak stays near 3x the
     returned bytes (the unfused path peaked at 8x)."""
@@ -296,3 +309,20 @@ def test_fbm_batch_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * b.nbytes
+
+
+def test_queue_batch_peak_memory():
+    """Sliding maxima add only row-block temporaries: the queue sampler
+    peaks near its circulant synthesis, not at 8x its path array."""
+    spec = Queue(1.5, 1.0)
+    w = int(math.ceil(spec.horizon_mult * spec.tau_star * 1.5 / 0.02))
+    path_bytes = 2000 * (200 + w) * 8
+    _fgn_eigs(1.5, 199 + w)
+    tracemalloc.start()
+    try:
+        q = queue_batch(_rng(0), 2000, spec, 200, 0.02, u_ref=1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (2000, 200)
+    assert peak <= 3.5 * path_bytes

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -147,3 +150,59 @@ def test_chunked_mean_one_chunk_se():
 def test_fit_line_rejects_non_finite_se():
     with pytest.raises(mc.NumericFailure):
         mc.fit_line([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, np.nan, 0.1])
+
+
+# ---------------------------------------------------------------------------
+# row blocks, the bit generator and the stream ids
+
+def _walk_kernel(rng, m, params):
+    """Per-sample columns that depend on how many rows each call draws."""
+    return np.cumsum(rng.standard_normal((m, 3)), axis=1) \
+        + rng.random(1)[0]
+
+
+def test_chunk_is_row_blocks_of_one_substream():
+    """A chunk's output is the kernel's outputs on successive ROW_BLOCK-row
+    slices of the chunk's substream, a short remainder block last."""
+    n = 2 * mc.ROW_BLOCK + 17
+    calls = []
+
+    def rec(rng, m, params):
+        calls.append(m)
+        return _walk_kernel(rng, m, params)
+
+    rng = mc.substream(21, 3)
+    want = np.concatenate([_walk_kernel(rng, m, None)
+                           for m in (mc.ROW_BLOCK, mc.ROW_BLOCK, 17)])
+    sums, sqs = mc._run_chunk(rec, 21, 3, n, None, width=3)
+    assert calls == [mc.ROW_BLOCK, mc.ROW_BLOCK, 17]
+    assert mc._workspace.get() is None  # released with the chunk
+    assert np.array_equal(sums, want.sum(axis=0))
+    assert np.array_equal(sqs, np.square(want).sum(axis=0))
+
+    rng = mc.substream(21, 3)
+    want = np.concatenate([_kernel(rng, m, {"s": 1.0})
+                           for m in (mc.ROW_BLOCK, mc.ROW_BLOCK, 17)])
+    sums, sqs = mc._run_chunk(_kernel, 21, 3, n, {"s": 1.0})
+    assert sums == want.sum() and sqs == np.square(want).sum()
+
+
+def test_stream_ids_name_sfc64():
+    assert all(s.startswith("sfc64:") for s in mc.stream_ids(17, 3))
+    assert isinstance(mc.substream(5, 0).bit_generator, np.random.SFC64)
+    assert np.array_equal(mc.generator(5).random(3),
+                          mc.generator(5).random(3))
+
+
+def test_only_mc_builds_a_bit_generator():
+    """Every draw goes through mc.generator: no other module of the package
+    constructs a bit generator or a Generator of its own."""
+    pattern = re.compile(
+        r"\b(Philox|SFC64|PCG64\w*|MT19937|RandomState|default_rng|"
+        r"BitGenerator|SeedSequence|Generator)\s*\(")
+    src = pathlib.Path(mc.__file__).parent
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "mc.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sojournlab.gaussim import Field2D, GridSpec, Lattice2D, SamplePath
-from sojournlab.sojourn import (batch_levels, level_for_sojourn, level_rank,
+from sojournlab.sojourn import (batch_levels, batch_levels_in_place,
+                                level_for_sojourn, level_rank,
                                 reduction_quadrature, sojourn_profile,
                                 sojourn_time, supremum)
 
@@ -85,6 +86,19 @@ def test_batch_levels_matches_scalar_route():
     for j, x in enumerate(grid):
         assert np.array_equal(cols[:, j], batch_levels(vals, step, x)), x
     assert np.all(np.isneginf(cols[:, -2:]))
+
+
+def test_batch_levels_in_place_reorders_only_its_input():
+    """The in-place route gives the copying route's bits, leaves values
+    reordered row by row, and returns an array of its own."""
+    vals = np.random.default_rng(6).standard_normal((12, 40))
+    for x in (0.3, (0.0, 0.3, 2.0)):
+        own = vals.copy()
+        z = batch_levels_in_place(own, 0.1, x)
+        assert np.array_equal(z, batch_levels(vals, 0.1, x))
+        assert np.array_equal(np.sort(own, axis=1), np.sort(vals, axis=1))
+        assert z.base is None
+    assert batch_levels(vals, 0.1, 0.3).base is None
 
 
 def test_batch_levels_minus_inf_when_rank_exceeds_grid():
