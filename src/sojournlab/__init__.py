@@ -5,21 +5,19 @@ with independent cross-checks, and the conditional-limit experiment kit.
 
 __version__ = "0.1.0"
 
-from .gaussim import (Chi, DriftSpec, FbmW, Field2D, GridSpec, Lattice2D,
-                      Queue, SamplePath, ScaledVariance2D, StationaryExp1D,
+from .gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D, Queue,
+                      SamplePath, ScaledVariance2D, StationaryExp1D,
                       StationaryExp2D, chi_batch, fbm_batch,
                       fbm_increment_batch, normal_tail, queue_batch,
-                      simulate_fbm, simulate_process, sliding_max,
-                      stationary2d_batch, stationary_batch, w_field_batch)
-from .sojourn import (LevelResult, SojournProfile, batch_levels,
-                      batch_levels_in_place, level_for_sojourn, level_rank,
-                      reduction_quadrature, sojourn_profile, sojourn_time,
-                      supremum)
+                      simulate_fbm, sliding_max, stationary2d_batch,
+                      stationary_batch, w_field_batch)
+from .sojourn import (LevelResult, batch_levels, batch_levels_in_place,
+                      level_for_sojourn, level_rank, reduction_quadrature)
 from .mc import (DEFAULT_CHUNK, LineFit, NumericFailure, chunked_mean,
                  derive_seed, fit_line, generator, stream_ids, substream,
                  wilson_interval)
-from .berman import (DEFAULT_LIMIT_SCHEDULE, NO_DRIFT, ConstantEstimate,
-                     DomainRule, berman_curve_1d, berman_curve_2d,
+from .berman import (DEFAULT_LIMIT_SCHEDULE, ConstantEstimate,
+                     berman_curve_1d, berman_curve_2d,
                      brownian_sup_oracle, estimate_berman_1d,
                      estimate_berman_1d_limit, estimate_berman_2d,
                      estimate_bhat, estimate_pickands,

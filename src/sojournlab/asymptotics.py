@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .berman import NO_DRIFT, DomainRule, berman_curve_1d, berman_curve_2d
+from .berman import berman_curve_1d, berman_curve_2d
 from .gaussim import (Chi, DriftSpec, GridSpec, Lattice2D, Queue,
                       ScaledVariance2D, StationaryExp1D, StationaryExp2D,
                       chi_batch, normal_tail, queue_batch, stationary2d_batch,
@@ -379,13 +379,10 @@ def _target_curve(family, settings, xg, seed, workers):
             method="plain" if fixed else "tilted", workers=workers,
             chunk_size=mc.DEFAULT_CHUNK if fixed else 1024)
     elif isinstance(family, Stationary2D):
-        rule = DomainRule(settings.target_S_2d, family.alpha1,
-                          alpha2=family.alpha2)
-        vals, ses = berman_curve_2d(family.alpha1, family.alpha2, xg, rule,
+        vals, ses = berman_curve_2d(family.alpha1, family.alpha2, xg,
+                                    settings.target_S_2d, pitch,
                                     n_samples=settings.target_samples,
-                                    seed=seed,
-                                    n_grid_axis=_rule_points(rule, pitch),
-                                    workers=workers)
+                                    seed=seed, workers=workers)
     elif isinstance(family, OnePoint2D):
         hats, drifts = [], []
         for i in (1, 2):
@@ -393,16 +390,11 @@ def _target_curve(family, settings, xg, seed, workers):
             beta = family.beta1 if i == 1 else family.beta2
             hats.append(hat_alpha)
             drifts.append(DriftSpec(coef, beta) if coef > 0 else DriftSpec())
-        rule = DomainRule(settings.target_S_2d, hats[0],
-                          beta1=family.beta1 if drifts[0].b else NO_DRIFT,
-                          alpha2=hats[1],
-                          beta2=family.beta2 if drifts[1].b else NO_DRIFT)
-        vals, ses = berman_curve_2d(hats[0], hats[1], xg, rule,
+        vals, ses = berman_curve_2d(hats[0], hats[1], xg,
+                                    settings.target_S_2d, pitch,
                                     n_samples=settings.target_samples,
                                     seed=seed, drift1=drifts[0],
-                                    drift2=drifts[1],
-                                    n_grid_axis=_rule_points(rule, pitch),
-                                    workers=workers)
+                                    drift2=drifts[1], workers=workers)
     else:
         raise TypeError(f"unknown scaling family {type(family).__name__}")
     target = vals / vals[0]
@@ -411,13 +403,6 @@ def _target_curve(family, settings, xg, seed, workers):
                                  + rel0 ** 2)
     target_se[0] = 0.0
     return target, target_se
-
-
-def _rule_points(rule, pitch):
-    """Axis point count so that no axis is coarser than the rescaled pitch."""
-    longest = max(hi - lo for lo, hi in (rule.axis_interval(1),
-                                         rule.axis_interval(2)))
-    return int(round(longest / pitch)) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,19 @@ from .sojourn import batch_levels_in_place
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
-NO_DRIFT = math.inf  # beta sentinel for a drift-free axis in domain rules
 DEFAULT_LIMIT_SCHEDULE = (4.0, 8.0, 16.0)
 
 
 # ---------------------------------------------------------------------------
-# result container and domain rule
+# result container
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """A single estimated constant with enough context to reproduce it."""
+    """A single estimated constant with enough context to reproduce it.
+
+    metadata["stream_ids"] lists the substreams the estimate drew, those of
+    each chunked_mean call in call order; it is empty when nothing was drawn.
+    """
     value: float
     std_err: float
     n_samples: int
@@ -67,47 +70,6 @@ class ConstantEstimate:
             raise ValueError("std_err must be >= 0")
         if self.normalization <= 0:
             raise ValueError("normalization must be > 0")
-
-
-@dataclass(frozen=True)
-class DomainRule:
-    """Growing-domain rule for two-dimensional drifted constants.
-
-    Axis i spans [-S, S] when the drift confines the mass (alpha_i >= beta_i,
-    or a degenerate axis alpha_i = 0 carrying any drift) and [0, S] with an
-    S divisor when alpha_i < beta_i (the constant grows linearly per unit
-    length). A drift-free axis is beta_i = NO_DRIFT, which lands in the
-    divisor case.
-    """
-    S: float
-    alpha1: float
-    beta1: float = NO_DRIFT
-    alpha2: float = NO_DRIFT  # unused marker when rule applied to axis 1 only
-    beta2: float = NO_DRIFT
-
-    def __post_init__(self):
-        if self.S <= 0:
-            raise ValueError("S must be > 0")
-
-    def axis_two_sided(self, i):
-        a, b = (self.alpha1, self.beta1) if i == 1 else (self.alpha2, self.beta2)
-        return a >= b or (a == 0.0 and b < NO_DRIFT)
-
-    def axis_interval(self, i):
-        return (-self.S, self.S) if self.axis_two_sided(i) else (0.0, self.S)
-
-    @property
-    def divisor_power(self):
-        return int(not self.axis_two_sided(1)) + int(not self.axis_two_sided(2))
-
-    @property
-    def normalization(self):
-        return self.S ** self.divisor_power
-
-    @property
-    def area(self):
-        (a1, b1), (a2, b2) = self.axis_interval(1), self.axis_interval(2)
-        return (b1 - a1) * (b2 - a2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,29 +337,36 @@ def estimate_berman_1d(alpha, drift=DriftSpec(), x=0.0, interval=(0.0, 1.0),
         raise ValueError("x must be >= 0")
     if not lo <= 0.0 <= hi:
         raise ValueError("interval must contain 0 (path pinned at the origin)")
+    if n_grid < 2:
+        raise ValueError("n_grid must be >= 2")
     step = length / (n_grid - 1)
     if x >= length:
         return ConstantEstimate(0.0, 0.0, 0, step, (lo, hi), 1.0, seed,
-                                method="plain", flags=("vanishing-by-bound",))
+                                method="plain", flags=("vanishing-by-bound",),
+                                metadata={"stream_ids": []})
     if n_samples < 100:
         raise ValueError("n_samples < 100 gives no meaningful standard error")
     t = np.linspace(lo, hi, n_grid)
     if abs(t[np.argmin(np.abs(t))]) > 1e-9 * max(abs(lo), abs(hi)):
         raise ValueError("grid does not hit 0 exactly; adjust n_grid")
     params = {"alpha": float(alpha), "drift": drift, "t": t, "x": float(x)}
-    mean, se, _ = mc.chunked_mean(_w1d_kernel, n_samples, seed, params,
-                                  chunk_size=chunk_size, workers=workers)
+    mean, se, n_chunks = mc.chunked_mean(_w1d_kernel, n_samples, seed, params,
+                                         chunk_size=chunk_size,
+                                         workers=workers)
     flags = ()
-    metadata = {}
+    metadata = {"stream_ids": mc.stream_ids(seed, n_chunks)}
     if refine_check:
         fine = dict(params, t=np.linspace(lo, hi, 2 * (n_grid - 1) + 1))
-        mean2, se2, _ = mc.chunked_mean(_w1d_kernel, n_samples,
-                                        mc.derive_seed(seed, 0xF1E), fine,
-                                        chunk_size=chunk_size, workers=workers)
+        fine_seed = mc.derive_seed(seed, 0xF1E)
+        mean2, se2, n_chunks = mc.chunked_mean(_w1d_kernel, n_samples,
+                                               fine_seed, fine,
+                                               chunk_size=chunk_size,
+                                               workers=workers)
         gap = abs(mean2 - mean)
         tol = 2.0 * math.hypot(se, se2)
         flags = ("grid-bias-ok",) if gap < tol else ("grid-bias-suspect",)
         metadata["refined"] = (mean2, se2)
+        metadata["stream_ids"] += mc.stream_ids(fine_seed, n_chunks)
     return ConstantEstimate(mean, se, n_samples, step, (lo, hi), 1.0, seed,
                             method="plain", flags=flags, metadata=metadata)
 
@@ -418,23 +387,16 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
     sched = [float(S) for S in S_schedule]
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("S_schedule must be increasing with at least 3 entries")
-    if method not in ("tilted", "plain"):
-        raise ValueError(f"unknown method {method!r}")
-    vals, ses = [], []
+    vals, ses, streams = [], [], []
     for i, S in enumerate(sched):
         sub = mc.derive_seed(seed, i)
-        if method == "tilted":
-            params = {"alpha": float(alpha), "x": float(x), "S": S, "delta": delta}
-            v, se, _ = mc.chunked_mean(_tilted_kernel, n_samples, sub, params,
-                                       chunk_size=chunk_size, workers=workers)
-        else:
-            n_grid = int(round(S / delta)) + 1
-            est = estimate_berman_1d(alpha, DriftSpec(), x, (0.0, S), n_grid,
-                                     n_samples, sub, workers=workers,
-                                     chunk_size=chunk_size)
-            v, se = est.value, est.std_err
+        kernel, params = _kernel_1d(method, alpha, float(x), S, delta)
+        v, se, n_chunks = mc.chunked_mean(kernel, n_samples, sub, params,
+                                          chunk_size=chunk_size,
+                                          workers=workers)
         vals.append(v)
         ses.append(se)
+        streams += mc.stream_ids(sub, n_chunks)
     fit = mc.fit_line(sched, vals, ses)
     if fit.slope < 0:
         raise mc.NumericFailure(
@@ -451,7 +413,8 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
                             method=f"limit-{method}", flags=tuple(flags),
                             metadata={"per_S": tuple(zip(sched, vals, ses)),
                                       "intercept": fit.intercept,
-                                      "intercept_se": fit.intercept_se})
+                                      "intercept_se": fit.intercept_se,
+                                      "stream_ids": streams})
 
 
 def estimate_pickands(alpha, S_schedule=DEFAULT_LIMIT_SCHEDULE,
@@ -475,92 +438,107 @@ def berman_curve_1d(alpha, x_grid, S, n_samples=100_000, seed=0, *,
     xg = tuple(float(x) for x in x_grid)
     if any(x < 0 for x in xg):
         raise ValueError("x grid must be nonnegative")
-    if method == "plain":
-        t = np.linspace(0.0, float(S), int(round(S / delta)) + 1)
-        kernel = _w1d_kernel
-        params = {"alpha": float(alpha), "drift": DriftSpec(), "t": t, "x": xg}
-    elif method == "tilted":
-        kernel = _tilted_kernel
-        params = {"alpha": float(alpha), "S": float(S), "delta": float(delta),
-                  "x": xg}
-    else:
-        raise ValueError("method must be 'plain' or 'tilted'")
+    kernel, params = _kernel_1d(method, alpha, xg, S, delta)
     means, ses, _ = mc.chunked_mean(kernel, n_samples, seed, params,
                                     width=len(xg), chunk_size=chunk_size,
                                     workers=workers)
     return means, ses
 
 
-def estimate_berman_2d(alpha1, alpha2, drift1=DriftSpec(), drift2=DriftSpec(),
-                       x=0.0, rule=None, n_samples=100_000, seed=0, *,
-                       n_grid_axis=129, workers=1, chunk_size=1024):
-    """2D drifted constant on the growing-domain rule, normalized by S-power.
+def _kernel_1d(method, alpha, x, S, delta):
+    """(kernel, params) for B_alpha(x, [0,S]) at step delta: plain averaging
+    on the grid of [0, S], or the shift-randomized kernel."""
+    if delta <= 0:
+        raise ValueError("delta must be > 0")
+    if method == "plain":
+        t = np.linspace(0.0, float(S), int(round(S / delta)) + 1)
+        return _w1d_kernel, {"alpha": float(alpha), "drift": DriftSpec(),
+                             "t": t, "x": x}
+    if method == "tilted":
+        return _tilted_kernel, {"alpha": float(alpha), "S": float(S),
+                                "delta": float(delta), "x": x}
+    raise ValueError("method must be 'plain' or 'tilted'")
+
+
+def estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
+                       n_samples=100_000, seed=0, *, n_grid_axis=129,
+                       workers=1, chunk_size=1024):
+    """2D drifted constant on the growing domain of size S, normalized by
+    S per one-sided axis.
 
     The field is W_alpha1(t1) + W_alpha2(t2) minus the per-axis drifts;
-    degenerate axes (alpha_i = 0) contribute their drift only. The estimate
-    is E exp(z_x) over the rule's domain divided by rule.normalization.
+    degenerate axes (alpha_i = 0) contribute their drift only. Each axis
+    spans _axis_interval(S, alpha_i, drift_i), and the estimate is E exp(z_x)
+    over that domain divided by the normalization.
     """
-    if rule is None:
-        raise ValueError("a DomainRule is required")
-    _check_rule(rule, alpha1, drift1, 1)
-    _check_rule(rule, alpha2, drift2, 2)
+    if S <= 0:
+        raise ValueError("S must be > 0")
     if x < 0:
         raise ValueError("x must be >= 0")
-    params = _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis,
+    domain = (_axis_interval(S, alpha1, drift1),
+              _axis_interval(S, alpha2, drift2))
+    params = _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis,
                          float(x))
-    domain = (rule.axis_interval(1), rule.axis_interval(2))
     (lo1, hi1), (lo2, hi2) = domain
     (t1, _, _), (t2, _, _) = params["axes"]
     area_step = ((hi1 - lo1) / (len(t1) - 1)) * ((hi2 - lo2) / (len(t2) - 1))
-    if x >= rule.area:
-        return ConstantEstimate(0.0, 0.0, 0, area_step, domain,
-                                rule.normalization, seed, method="plain-2d",
-                                flags=("vanishing-by-bound",))
+    norm = S ** sum(lo == 0.0 for lo, _ in domain)
+    if x >= (hi1 - lo1) * (hi2 - lo2):
+        return ConstantEstimate(0.0, 0.0, 0, area_step, domain, norm, seed,
+                                method="plain-2d",
+                                flags=("vanishing-by-bound",),
+                                metadata={"stream_ids": []})
     if n_samples < 100:
         raise ValueError("n_samples < 100 gives no meaningful standard error")
-    mean, se, _ = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
-                                  chunk_size=chunk_size, workers=workers)
-    norm = rule.normalization
+    mean, se, n_chunks = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
+                                         chunk_size=chunk_size,
+                                         workers=workers)
     return ConstantEstimate(mean / norm, se / norm, n_samples, area_step,
-                            domain, norm, seed, method="plain-2d")
+                            domain, norm, seed, method="plain-2d",
+                            metadata={"stream_ids":
+                                      mc.stream_ids(seed, n_chunks)})
 
 
-def berman_curve_2d(alpha1, alpha2, x_grid, rule, n_samples=100_000, seed=0, *,
-                    drift1=DriftSpec(), drift2=DriftSpec(), n_grid_axis=129,
+def berman_curve_2d(alpha1, alpha2, x_grid, S, pitch, n_samples=100_000,
+                    seed=0, *, drift1=DriftSpec(), drift2=DriftSpec(),
                     workers=1, chunk_size=1024):
-    """Shared-sample 2D constant estimates over an x grid (unnormalized)."""
+    """Shared-sample 2D constant estimates over an x grid (unnormalized),
+    on the domain of estimate_berman_2d with no axis coarser than pitch."""
     xg = tuple(float(x) for x in x_grid)
-    params = _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis, xg)
+    domain = (_axis_interval(S, alpha1, drift1),
+              _axis_interval(S, alpha2, drift2))
+    longest = max(hi - lo for lo, hi in domain)
+    params = _w2d_params(alpha1, alpha2, drift1, drift2, domain,
+                         int(round(longest / pitch)) + 1, xg)
     means, ses, _ = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
                                     width=len(xg), chunk_size=chunk_size,
                                     workers=workers)
     return means, ses
 
 
-def _w2d_params(alpha1, alpha2, drift1, drift2, rule, n_grid_axis, x):
-    """_w2d_kernel params: per axis the rule's grid, exponent and drift."""
+def _axis_interval(S, alpha, drift):
+    """[-S, S] when the drift confines the mass (alpha >= beta, or a
+    degenerate axis alpha = 0 carrying any drift); [0, S], which costs an S
+    divisor, when the axis is drift-free or its drift is steeper than its
+    fluctuations (alpha < beta: the constant grows linearly per unit
+    length)."""
+    if drift.b > 0 and (alpha >= drift.beta or alpha == 0):
+        return (-S, S)
+    return (0.0, S)
+
+
+def _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis, x):
+    """_w2d_kernel params: per axis its grid, exponent and drift."""
+    if n_grid_axis < 2:
+        raise ValueError("n_grid_axis must be >= 2")
     axes = []
-    for i, (alpha, drift) in enumerate(((alpha1, drift1), (alpha2, drift2)), 1):
-        lo, hi = rule.axis_interval(i)
-        t = np.linspace(lo, hi, _axis_points(lo, hi, n_grid_axis))
-        axes.append((t, float(alpha), drift))
+    for (lo, hi), alpha, drift in zip(domain, (alpha1, alpha2),
+                                      (drift1, drift2)):
+        n = int(n_grid_axis)
+        if lo < 0 and n % 2 == 0:
+            n += 1  # a two-sided axis needs 0 as a grid point
+        axes.append((np.linspace(lo, hi, n), float(alpha), drift))
     return {"axes": tuple(axes), "x": x}
-
-
-def _axis_points(lo, hi, n_grid_axis):
-    # two-sided axes need an odd point count so that 0 is a grid point
-    n = int(n_grid_axis)
-    if lo < 0 and n % 2 == 0:
-        n += 1
-    return n
-
-
-def _check_rule(rule, alpha, drift, i):
-    ra, rb = ((rule.alpha1, rule.beta1) if i == 1 else (rule.alpha2, rule.beta2))
-    beta = drift.beta if drift.b > 0 else NO_DRIFT
-    if not (ra == alpha and rb == beta):
-        raise ValueError(f"DomainRule axis {i} ({ra}, {rb}) does not match "
-                         f"the supplied alpha/drift ({alpha}, {beta})")
 
 
 def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
@@ -586,6 +564,8 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
         raise ValueError("alphas must lie in (0, 2]")
     if not 0.0 <= x < n1:
         raise ValueError("requires 0 <= x < n1 (constant vanishes otherwise)")
+    if delta1 <= 0 or delta_rest <= 0:
+        raise ValueError("delta1 and delta_rest must be > 0")
     n_grid1 = int(round(n1 / delta1)) + 1
 
     if len(alphas) == 1:
@@ -599,15 +579,17 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
         raise ValueError("n_rest_schedule must be increasing with >= 3 entries")
     rest = alphas[1:]
     power = len(rest)
-    ys, yses, raw = [], [], []
+    ys, yses, raw, streams = [], [], [], []
     for i, nr in enumerate(sched):
         params = {"alpha1": alphas[0], "x": float(x), "n1": float(n1),
                   "delta1": delta1, "alphas_rest": rest, "n_rest": nr,
                   "delta_rest": delta_rest}
-        v, se, _ = mc.chunked_mean(_bhat_direct_kernel, n_samples,
-                                   mc.derive_seed(seed, i), params,
-                                   chunk_size=chunk_size, workers=workers)
+        sub = mc.derive_seed(seed, i)
+        v, se, n_chunks = mc.chunked_mean(_bhat_direct_kernel, n_samples, sub,
+                                          params, chunk_size=chunk_size,
+                                          workers=workers)
         raw.append((nr, v, se))
+        streams += mc.stream_ids(sub, n_chunks)
         ys.append(v / nr ** power)
         yses.append(se / nr ** power)
     fit = mc.fit_line([1.0 / nr for nr in sched], ys, yses)
@@ -616,7 +598,8 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
                               (0.0, float(n1)), 1.0, seed,
                               method="bhat-direct",
                               metadata={"per_n": tuple(raw),
-                                        "slope_vs_inv_n": fit.slope})
+                                        "slope_vs_inv_n": fit.slope,
+                                        "stream_ids": streams})
 
     hs = []
     for i, a in enumerate(rest):
@@ -631,6 +614,8 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
     for h in hs:
         value *= h.value
         parts.append((h.value, h.std_err))
+    factor_streams = [sid for est in hs + [b1]
+                      for sid in est.metadata["stream_ids"]]
     rel = (b1.std_err / b1.value) ** 2 if b1.value > 0 else 0.0
     for hv, hse in parts:
         rel += (hse / hv) ** 2 if hv > 0 else 0.0
@@ -639,5 +624,6 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
                                (0.0, float(n1)), 1.0, seed,
                                method="bhat-product",
                                metadata={"pickands_factors": tuple(parts),
-                                         "interval_constant": (b1.value, b1.std_err)})
+                                         "interval_constant": (b1.value, b1.std_err),
+                                         "stream_ids": factor_streams})
     return direct, product

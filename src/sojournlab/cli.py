@@ -12,7 +12,6 @@ and the worker count never changes any output byte.
 import argparse
 import csv
 import json
-import math
 import os
 import secrets
 import sys
@@ -22,10 +21,9 @@ from . import __version__, mc
 from .asymptotics import (ChiFamily, ExperimentSettings, OnePoint2D,
                           QueueFamily, Stationary1D, Stationary2D,
                           conditional_sojourn_cdf, double_sum_diagnostic)
-from .berman import (NO_DRIFT, DomainRule, brownian_sup_oracle,
-                     estimate_berman_1d, estimate_berman_1d_limit,
-                     estimate_berman_2d, estimate_bhat,
-                     parabola_constant_closed_form)
+from .berman import (brownian_sup_oracle, estimate_berman_1d,
+                     estimate_berman_1d_limit, estimate_berman_2d,
+                     estimate_bhat, parabola_constant_closed_form)
 from .gaussim import DriftSpec
 
 ENV_PREFIX = "SOJOURNLAB_"
@@ -206,81 +204,52 @@ def _drift(b, beta):
     return DriftSpec(b, beta) if b else DriftSpec()
 
 
-def _rule_beta(drift):
-    return drift.beta if drift.b > 0 else NO_DRIFT
-
-
 # ---------------------------------------------------------------------------
 # per-subcommand runners: each returns (header, rows, flags, stream_ids)
 
 def _run_estimate_constant(cfg, workers):
     fam = cfg["family"]
-    seed, n = cfg["seed"], cfg["n_samples"]
-    header = ("route", "x", "value", "std_err", "S", "delta", "flags")
+    seed, n, x = cfg["seed"], cfg["n_samples"], cfg["x"]
+    run = {"workers": workers, "chunk_size": cfg["chunk_size"]}
     if fam == "plain-1d":
         interval = _floats(cfg["interval"])
         if len(interval) != 2:
             raise ConfigError("--interval needs exactly lo,hi")
         est = estimate_berman_1d(cfg["alpha"],
                                  _drift(cfg["drift_b"], cfg["drift_beta"]),
-                                 cfg["x"], tuple(interval),
-                                 n_grid=cfg["n_grid"], n_samples=n, seed=seed,
-                                 workers=workers,
-                                 refine_check=cfg["refine_check"],
-                                 chunk_size=cfg["chunk_size"])
-        rows = [("plain", cfg["x"], est.value, est.std_err,
-                 interval[1] - interval[0], est.grid_step,
-                 ";".join(est.flags))]
-        n_chunks = math.ceil(n / cfg["chunk_size"])
-        streams = {"main": mc.stream_ids(seed, n_chunks)}
-        return header, rows, list(est.flags), streams
-    if fam in ("limit-1d", "pickands"):
+                                 x, tuple(interval), n_grid=cfg["n_grid"],
+                                 n_samples=n, seed=seed,
+                                 refine_check=cfg["refine_check"], **run)
+        routes = [("plain", est, interval[1] - interval[0])]
+    elif fam in ("limit-1d", "pickands"):
         sched = _floats(cfg["s_schedule"])
-        x = 0.0 if fam == "pickands" else cfg["x"]
+        x = 0.0 if fam == "pickands" else x
         est = estimate_berman_1d_limit(cfg["alpha"], x, tuple(sched), n, seed,
                                        delta=cfg["delta"], method=cfg["method"],
-                                       workers=workers,
-                                       chunk_size=cfg["chunk_size"])
-        rows = [("limit", x, est.value, est.std_err, sched[-1], cfg["delta"],
-                 ";".join(est.flags))]
-        streams = {f"S={S:g}": mc.derive_seed(seed, i)
-                   for i, S in enumerate(sched)}
-        return header, rows, list(est.flags), streams
-    if fam == "plain-2d":
-        d1 = _drift(cfg["drift_b"], cfg["drift_beta"])
-        d2 = _drift(cfg["drift2_b"], cfg["drift2_beta"])
-        rule = DomainRule(cfg["rule_s"], cfg["alpha"], beta1=_rule_beta(d1),
-                          alpha2=cfg["alpha2"], beta2=_rule_beta(d2))
-        est = estimate_berman_2d(cfg["alpha"], cfg["alpha2"], d1, d2,
-                                 cfg["x"], rule, n_samples=n, seed=seed,
-                                 n_grid_axis=cfg["n_grid_axis"],
-                                 workers=workers,
-                                 chunk_size=cfg["chunk_size"])
-        rows = [("plain-2d", cfg["x"], est.value, est.std_err, rule.S,
-                 est.grid_step, ";".join(est.flags))]
-        n_chunks = math.ceil(n / cfg["chunk_size"])
-        streams = {"main": mc.stream_ids(seed, n_chunks)}
-        return header, rows, list(est.flags), streams
-    if fam == "bhat":
-        alphas = _floats(cfg["alphas"])
-        sched = _floats(cfg["s_schedule"])
-        direct, product = estimate_bhat(alphas, cfg["x"], cfg["n1"],
-                                        tuple(sched), n, seed,
-                                        delta1=cfg["delta1"],
-                                        delta_rest=cfg["delta_rest"],
-                                        workers=workers,
-                                        chunk_size=cfg["chunk_size"])
-        rows = [("direct", cfg["x"], direct.value, direct.std_err, cfg["n1"],
-                 direct.grid_step, ";".join(direct.flags)),
-                ("product", cfg["x"], product.value, product.std_err,
-                 cfg["n1"], product.grid_step, ";".join(product.flags))]
-        streams = {"direct": [mc.derive_seed(seed, i)
-                              for i in range(len(sched))],
-                   "product-factors": [mc.derive_seed(seed, 100 + i)
-                                       for i in range(len(alphas) - 1)],
-                   "product-plain": mc.derive_seed(seed, 200)}
-        return header, rows, list(direct.flags) + list(product.flags), streams
-    raise ConfigError(f"unknown estimate-constant family {fam!r}")
+                                       **run)
+        routes = [("limit", est, sched[-1])]
+    elif fam == "plain-2d":
+        est = estimate_berman_2d(cfg["alpha"], cfg["alpha2"],
+                                 _drift(cfg["drift_b"], cfg["drift_beta"]),
+                                 _drift(cfg["drift2_b"], cfg["drift2_beta"]),
+                                 x, cfg["rule_s"], n_samples=n, seed=seed,
+                                 n_grid_axis=cfg["n_grid_axis"], **run)
+        routes = [("plain-2d", est, cfg["rule_s"])]
+    elif fam == "bhat":
+        direct, product = estimate_bhat(_floats(cfg["alphas"]), x, cfg["n1"],
+                                        tuple(_floats(cfg["s_schedule"])), n,
+                                        seed, delta1=cfg["delta1"],
+                                        delta_rest=cfg["delta_rest"], **run)
+        routes = [("direct", direct, cfg["n1"]),
+                  ("product", product, cfg["n1"])]
+    else:
+        raise ConfigError(f"unknown estimate-constant family {fam!r}")
+    header = ("route", "x", "value", "std_err", "S", "delta", "flags")
+    rows = [(route, x, est.value, est.std_err, S, est.grid_step,
+             ";".join(est.flags)) for route, est, S in routes]
+    flags = [fl for _, est, _ in routes for fl in est.flags]
+    streams = {route: est.metadata["stream_ids"] for route, est, _ in routes}
+    return header, rows, flags, streams
 
 
 def _experiment_family(cfg):
@@ -373,8 +342,8 @@ def _run_oracle(cfg, workers):
 
 
 def _run_convergence(cfg, workers):
-    sched = _floats(cfg["s_schedule"])
-    est = estimate_berman_1d_limit(cfg["alpha"], cfg["x"], tuple(sched),
+    est = estimate_berman_1d_limit(cfg["alpha"], cfg["x"],
+                                   tuple(_floats(cfg["s_schedule"])),
                                    cfg["n_samples"], cfg["seed"],
                                    delta=cfg["delta"], method=cfg["method"],
                                    workers=workers)
@@ -383,9 +352,7 @@ def _run_convergence(cfg, workers):
     header = ("S", "value", "std_err", "slope", "slope_se", "intercept",
               "intercept_se")
     rows = [(S, v, se) + fit for S, v, se in est.metadata["per_S"]]
-    streams = {f"S={S:g}": mc.derive_seed(cfg["seed"], i)
-               for i, S in enumerate(sched)}
-    return header, rows, list(est.flags), streams
+    return header, rows, list(est.flags), {"limit": est.metadata["stream_ids"]}
 
 
 RUNNERS = {

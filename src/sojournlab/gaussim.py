@@ -64,10 +64,6 @@ class Lattice2D:
     axis1: GridSpec
     axis2: GridSpec
 
-    @property
-    def cell_area(self):
-        return self.axis1.step * self.axis2.step
-
 
 @dataclass(frozen=True)
 class SamplePath:
@@ -78,21 +74,6 @@ class SamplePath:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_points,):
             raise ValueError("values length must match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class Field2D:
-    lattice: Lattice2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        shape = (self.lattice.axis1.n_points, self.lattice.axis2.n_points)
-        if v.shape != shape:
-            raise ValueError(f"values shape {v.shape} does not match lattice {shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", v)
@@ -468,37 +449,6 @@ def w_field_batch(rng, m, spec, times, pin_index):
     w *= math.sqrt(2.0)
     w -= drift_term[None, :]
     return w
-
-
-def simulate_process(spec, grid, seed, u_ref=None):
-    """One replicate of any ProcessSpec variant on a grid or lattice."""
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    if isinstance(spec, FbmW):
-        t = grid.times()
-        k = int(np.argmin(np.abs(t)))
-        if abs(t[k]) > 1e-9 * max(abs(grid.start), abs(grid.end)) + 1e-15:
-            raise ValueError("FbmW grids must contain t = 0 as a grid point")
-        return SamplePath(grid, w_field_batch(rng, 1, spec, t, k)[0])
-    if isinstance(spec, StationaryExp1D):
-        v = stationary_batch(rng, 1, spec, grid.n_points, grid.step)[0]
-        return SamplePath(grid, v)
-    if isinstance(spec, StationaryExp2D):
-        if not isinstance(grid, Lattice2D):
-            raise ValueError("StationaryExp2D requires a Lattice2D")
-        return Field2D(grid, stationary2d_batch(rng, 1, spec, grid)[0])
-    if isinstance(spec, ScaledVariance2D):
-        if not isinstance(grid, Lattice2D):
-            raise ValueError("ScaledVariance2D requires a Lattice2D")
-        y = stationary2d_batch(rng, 1, spec.base, grid)[0]
-        s = spec.sigma(grid.axis1.times()[:, None], grid.axis2.times()[None, :])
-        return Field2D(grid, s * y)
-    if isinstance(spec, Chi):
-        v = chi_batch(rng, 1, spec, grid.n_points, grid.step)[0]
-        return SamplePath(grid, v)
-    if isinstance(spec, Queue):
-        v = queue_batch(rng, 1, spec, grid.n_points, grid.step, u_ref=u_ref)[0]
-        return SamplePath(grid, v)
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
 
 
 def normal_tail(u):

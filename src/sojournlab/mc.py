@@ -113,6 +113,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 for a standard error")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     sizes = [chunk_size] * (n_samples // chunk_size)
     rem = n_samples % chunk_size
     if rem:

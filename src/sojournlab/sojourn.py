@@ -9,21 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussim import Field2D, SamplePath
-
-
-@dataclass(frozen=True)
-class SojournProfile:
-    """Sorted view of a sample: values descending, each worth `step` of time."""
-    step: float
-    values: np.ndarray
-    total: float
-
-    def time_above(self, z):
-        return self.step * int(np.count_nonzero(self.values > z))
-
-    def level(self, x):
-        return _level_from_sorted(self.values, self.step, x)
+from .gaussim import SamplePath
 
 
 @dataclass(frozen=True)
@@ -38,26 +24,7 @@ class LevelResult:
 def _step_of(obj):
     if isinstance(obj, SamplePath):
         return obj.grid.step, obj.values
-    if isinstance(obj, Field2D):
-        return obj.lattice.cell_area, obj.values.ravel()
-    raise TypeError("expected SamplePath or Field2D")
-
-
-def sojourn_time(obj, z):
-    """mes{X > z}: time (or area) strictly above level z."""
-    step, values = _step_of(obj)
-    return step * int(np.count_nonzero(values > z))
-
-
-def sojourn_profile(obj):
-    step, values = _step_of(obj)
-    v = np.sort(values)[::-1].copy()
-    return SojournProfile(step, v, step * len(v))
-
-
-def supremum(obj):
-    _, values = _step_of(obj)
-    return float(values.max())
+    raise TypeError("expected a SamplePath")
 
 
 def level_rank(x, step):
@@ -71,14 +38,6 @@ def level_rank(x, step):
     return int(np.floor(x / step + 1e-9)) + 1
 
 
-def _level_from_sorted(desc_values, step, x):
-    m = level_rank(x, step)
-    n = len(desc_values)
-    if m > n:
-        return LevelResult(None, m, n)
-    return LevelResult(float(desc_values[m - 1]), m, n)
-
-
 def level_for_sojourn(obj, x):
     """Largest level z with sojourn time above z still exceeding x.
 
@@ -87,7 +46,11 @@ def level_for_sojourn(obj, x):
     convention for downstream exp(z) reductions is exp(-inf) = 0).
     """
     step, values = _step_of(obj)
-    return _level_from_sorted(np.sort(values)[::-1], step, x)
+    m = level_rank(x, step)
+    n = len(values)
+    if m > n:
+        return LevelResult(None, m, n)
+    return LevelResult(float(np.sort(values)[n - m]), m, n)
 
 
 def batch_levels(values, step, x):

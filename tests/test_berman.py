@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sojournlab import mc
-from sojournlab.berman import (NO_DRIFT, ConstantEstimate, DomainRule,
-                               _tilted_kernel, _tilted_window, _w1d_kernel,
-                               _w2d_kernel,
+from sojournlab.berman import (ConstantEstimate, _tilted_kernel,
+                               _tilted_window, _w1d_kernel, _w2d_kernel,
                                berman2_parabola_oracle, berman_curve_1d,
                                berman_curve_2d, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
@@ -174,67 +173,62 @@ def test_curve_1d_tilted_matches_closed_form():
         assert abs(means[j] - want) < 3 * ses[j], x
 
 
+def _vanishing_2d(alpha1, drift1, alpha2=1.0, drift2=DriftSpec(), S=4.0,
+                  x=1e9):
+    """estimate_berman_2d at an x past the domain area: nothing is drawn,
+    but the domain and the normalization are reported."""
+    est = estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
+                             n_samples=100)
+    assert "vanishing-by-bound" in est.flags
+    assert est.metadata["stream_ids"] == []
+    return est
+
+
 def test_domain_rule_sides():
     # drift-free axis: one-sided with an S divisor
-    r = DomainRule(4.0, 1.0)
-    assert not r.axis_two_sided(1)
-    assert r.axis_interval(1) == (0.0, 4.0)
+    assert _vanishing_2d(1.0, DriftSpec()).domain[0] == (0.0, 4.0)
     # confining drift (alpha >= beta): two-sided, no divisor
-    r = DomainRule(4.0, 1.0, beta1=0.5)
-    assert r.axis_two_sided(1)
-    assert r.axis_interval(1) == (-4.0, 4.0)
+    assert _vanishing_2d(1.0, DriftSpec(1.0, 0.5)).domain[0] == (-4.0, 4.0)
     # steep drift (alpha < beta): mass grows along the axis, divisor again
-    r = DomainRule(4.0, 1.0, beta1=2.0)
-    assert not r.axis_two_sided(1)
+    assert _vanishing_2d(1.0, DriftSpec(1.0, 2.0)).domain[0] == (0.0, 4.0)
     # degenerate axis with any drift is confined around the origin
-    r = DomainRule(4.0, 0.0, beta1=2.0)
-    assert r.axis_two_sided(1)
+    assert _vanishing_2d(0.0, DriftSpec(1.0, 2.0)).domain[0] == (-4.0, 4.0)
     with pytest.raises(ValueError):
-        DomainRule(-1.0, 1.0)
+        _vanishing_2d(1.0, DriftSpec(), S=-1.0)
 
 
 def test_domain_rule_normalization():
-    r = DomainRule(3.0, 1.0, NO_DRIFT, 1.0, 0.5)
-    assert r.divisor_power == 1
-    assert r.normalization == 3.0
-    assert r.area == 3.0 * 6.0
+    # one one-sided axis: divisor S; the area is 3 * 6, so x = 18 vanishes
+    est = _vanishing_2d(1.0, DriftSpec(), 1.0, DriftSpec(1.0, 0.5), S=3.0,
+                        x=18.0)
+    assert est.domain == ((0.0, 3.0), (-3.0, 3.0))
+    assert est.normalization == 3.0
+    assert _vanishing_2d(1.0, DriftSpec(), S=3.0).normalization == 9.0
+    assert _vanishing_2d(1.0, DriftSpec(1.0, 0.5), 0.0, DriftSpec(1.0, 2.0),
+                         S=3.0).normalization == 1.0
 
 
 def test_estimate_berman_2d_product_structure():
     """Independent axes: the x = 0 constant factorizes, and at alpha = 2
     each factor is 1 + 1/sqrt(pi)."""
-    rule = DomainRule(1.0, 2.0, NO_DRIFT, 2.0, NO_DRIFT)
-    est = estimate_berman_2d(2.0, 2.0, x=0.0, rule=rule, n_samples=40_000,
-                             seed=9, n_grid_axis=65)
+    est = estimate_berman_2d(2.0, 2.0, DriftSpec(), DriftSpec(), 0.0, 1.0,
+                             n_samples=40_000, seed=9, n_grid_axis=65)
     want = (1.0 + 1.0 / SQRT_PI) ** 2
     assert abs(est.value - want) < 3 * est.std_err
     assert est.std_err < 0.05
 
 
-def test_estimate_berman_2d_requires_rule():
-    with pytest.raises(ValueError):
-        estimate_berman_2d(1.0, 1.0, x=0.0, rule=None, n_samples=100)
-
-
-def test_estimate_berman_2d_rule_mismatch():
-    # rule says drifted axis, spec says drift-free
-    rule = DomainRule(2.0, 1.0, beta1=1.0, alpha2=1.0)
-    with pytest.raises(ValueError):
-        estimate_berman_2d(1.0, 1.0, x=0.0, rule=rule, n_samples=100)
-
-
 def test_estimate_berman_2d_vanishing():
-    rule = DomainRule(1.0, 1.0, NO_DRIFT, 1.0, NO_DRIFT)
-    est = estimate_berman_2d(1.0, 1.0, x=2.0, rule=rule, n_samples=100)
+    est = estimate_berman_2d(1.0, 1.0, DriftSpec(), DriftSpec(), 2.0, 1.0,
+                             n_samples=100)
     assert est.value == 0.0
     assert "vanishing-by-bound" in est.flags
 
 
 def test_curve_2d_monotone():
-    rule = DomainRule(1.0, 2.0, NO_DRIFT, 2.0, NO_DRIFT)
     xg = np.array([0.0, 0.3, 0.8])
-    means, ses = berman_curve_2d(2.0, 2.0, xg, rule, n_samples=8_000, seed=1,
-                                 n_grid_axis=33)
+    means, ses = berman_curve_2d(2.0, 2.0, xg, 1.0, 1.0 / 32, n_samples=8_000,
+                                 seed=1)
     assert np.all(np.diff(means) <= 1e-12)
 
 

@@ -80,7 +80,52 @@ def test_estimate_constant_plain_writes_table_and_manifest(tmp_path):
     assert "workers" not in man["config"]
     assert "out" not in man["config"]
     assert man["outputs"]["table"] == "constants.csv"
-    assert man["stream_ids"]["main"]
+    assert man["stream_ids"]["plain"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "bhat", "--alphas", "1.5", "--x", "0.2", "--n1", "2",
+     "--n-samples", "2000", "--seed", "4"],
+    ["--alpha", "1.5", "--x", "0.1", "--n-grid", "129", "--n-samples", "3000",
+     "--chunk-size", "1024", "--refine-check", "--seed", "11"],
+])
+def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
+                                                       argv):
+    """Each route's stream_ids are the substreams its estimate drew, in draw
+    order: one bhat route drawn once serves both rows, and a refinement
+    pass adds its own substreams."""
+    drawn = []
+    build = mc.generator
+
+    def recording(seed, *spawn_key):
+        drawn.append((int(seed), spawn_key))
+        return build(seed, *spawn_key)
+
+    monkeypatch.setattr(mc, "generator", recording)
+    out = str(tmp_path / "s")
+    assert _run(["estimate-constant"] + argv + ["--out", out]) == 0
+    streams = _read_manifest(out)["stream_ids"]
+    assert drawn
+    for ids in streams.values():
+        parsed = [(int(seed), (int(k),))
+                  for seed, k in (sid.split(":")[1:] for sid in ids)]
+        assert parsed == drawn
+
+
+@pytest.mark.parametrize("argv", [
+    ["--chunk-size", "0"],
+    ["--n-grid", "1"],
+    ["--family", "limit-1d", "--delta", "0"],
+    ["--family", "plain-2d", "--n-grid-axis", "1"],
+    ["--family", "bhat", "--delta1", "0"],
+])
+def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "bad")
+    rc = _run(["estimate-constant"] + argv + ["--n-samples", "200",
+                                              "--seed", "1", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(os.path.join(out, "constants.csv"))
 
 
 def test_manifest_replay_is_byte_identical(tmp_path):

@@ -10,7 +10,7 @@ from sojournlab.gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D,
                                 StationaryExp1D, StationaryExp2D, _axis_root,
                                 _fgn_eigs, _stationary_eigs, chi_batch, fbm_batch,
                                 fbm_increment_batch, normal_tail, queue_batch,
-                                simulate_fbm, simulate_process, sliding_max,
+                                simulate_fbm, sliding_max,
                                 stationary2d_batch, stationary_batch,
                                 w_field_batch)
 
@@ -179,15 +179,6 @@ def test_simulate_fbm_deterministic():
     p2 = simulate_fbm(1.4, g, seed=99)
     assert np.array_equal(p1.values, p2.values)
     assert p1.values[0] == 0.0
-
-
-def test_simulate_process_dispatch():
-    g = GridSpec(0.0, 1.0, 17)
-    p = simulate_process(StationaryExp1D(1.0, 1.0), g, seed=1)
-    assert p.values.shape == (17,)
-    lat = Lattice2D(GridSpec(0.0, 1.0, 5), GridSpec(0.0, 1.0, 7))
-    f = simulate_process(StationaryExp2D(1, 1, 1, 1), lat, seed=2)
-    assert f.values.shape == (5, 7)
 
 
 def test_normal_tail_values():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from sojournlab.gaussim import Field2D, GridSpec, Lattice2D, SamplePath
+from sojournlab.gaussim import GridSpec, SamplePath
 from sojournlab.sojourn import (batch_levels, batch_levels_in_place,
                                 level_for_sojourn, level_rank,
-                                reduction_quadrature, sojourn_profile,
-                                sojourn_time, supremum)
+                                reduction_quadrature)
 
 
 def _path(values, step=0.25):
@@ -29,25 +28,6 @@ def test_level_rank_float_boundary():
     assert level_rank(3 * 0.1, 0.1) == 4
 
 
-def test_sojourn_time_counts_strict_exceedances():
-    p = _path([1.0, 0.5, 0.5, -1.0, 2.0])
-    assert sojourn_time(p, 0.5) == 2 * 0.25
-    assert sojourn_time(p, -2.0) == 5 * 0.25
-    assert sojourn_time(p, 2.0) == 0.0
-
-
-def test_sojourn_profile_is_a_decreasing_step_function():
-    p = _path([0.3, -0.2, 0.9, 0.9, 0.1])
-    prof = sojourn_profile(p)
-    assert prof.step == 0.25
-    assert list(prof.values) == sorted(prof.values, reverse=True)
-    assert prof.total == 5 * 0.25
-    # time above z drops as z passes each distinct value
-    assert prof.time_above(0.89) == 2 * 0.25
-    assert prof.time_above(0.9) == 0.0
-    assert prof.time_above(-1.0) == prof.total
-
-
 def test_level_for_sojourn_matches_direct_count():
     """z_x is the smallest level whose sojourn time does not exceed x."""
     rng = np.random.default_rng(12)
@@ -56,9 +36,9 @@ def test_level_for_sojourn_matches_direct_count():
     for x in (0.0, 0.09, 0.35, 1.7, 3.9):
         res = level_for_sojourn(p, x)
         assert res.z is not None
-        assert sojourn_time(p, res.z) <= x + 1e-12
+        assert p.grid.step * np.count_nonzero(p.values > res.z) <= x + 1e-12
         # just below z the sojourn time exceeds x
-        assert sojourn_time(p, res.z - 1e-9) > x
+        assert p.grid.step * np.count_nonzero(p.values > res.z - 1e-9) > x
 
 
 def test_level_for_sojourn_out_of_range():
@@ -107,11 +87,6 @@ def test_batch_levels_minus_inf_when_rank_exceeds_grid():
     assert np.all(np.isneginf(z))
 
 
-def test_supremum():
-    p = _path([0.1, -3.0, 2.5, 0.0])
-    assert supremum(p) == 2.5
-
-
 def test_reduction_quadrature_agrees_with_rank():
     rng = np.random.default_rng(77)
     vals = rng.standard_normal(64)
@@ -127,15 +102,3 @@ def test_reduction_quadrature_vanishes_past_total_time():
     assert reduction_quadrature(p, 1.2) == 0.0
     assert reduction_quadrature(p, 9.0 / 8.0) == 0.0
 
-
-def test_field2d_reduction_uses_cell_area():
-    lat = Lattice2D(GridSpec(0.0, 1.0, 3), GridSpec(0.0, 1.0, 3))
-    f = Field2D(lat, np.array([[3.0, 1.0, 0.0],
-                               [2.0, -1.0, 0.5],
-                               [0.0, 0.0, 0.0]]))
-    # cell area 0.25, nine cells
-    assert sojourn_time(f, 0.75) == 3 * 0.25
-    res = level_for_sojourn(f, 0.5)
-    assert res.rank == 3
-    assert res.z == 1.0
-    assert np.isclose(reduction_quadrature(f, 0.5), np.e)

@@ -2,7 +2,8 @@
 
 Runs the README's CLI examples, the manifest-replay configurations of
 acceptance criterion 9, the argv of both benchmark workloads and a few runs
-that reach the remaining path synthesis routes, each at a fixed seed, through `sojournlab.cli.main` into a temporary directory. For
+that reach the remaining path synthesis routes and estimator branches, each
+at a fixed seed, through `sojournlab.cli.main` into a temporary directory. For
 each run it prints one line, `<sha256 of the table>  <argv>`. Two checkouts
 that print the same lines write the same tables byte for byte, so a change
 that should only restructure code is checked by diffing the output:
@@ -78,7 +79,36 @@ SYNTHESIS = [
     "--target-samples 2000 --seed 10",
 ]
 
-RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS
+# estimator branches the runs above miss: 2D axis sides (confining, steep
+# and degenerate drifts, an even point count on a two-sided axis), a
+# single-alpha bhat, a refinement pass, plain limit kernels and the 2D
+# experiment target curves
+BRANCHES = [
+    "estimate-constant --family plain-2d --alpha 1.5 --alpha2 1 --drift-b 1 "
+    "--drift-beta 1 --drift2-b 0.5 --drift2-beta 2 --n-grid-axis 65 "
+    "--n-samples 2000 --seed 12",
+    "estimate-constant --family plain-2d --alpha 0 --drift-b 1 --drift-beta 2 "
+    "--n-grid-axis 64 --n-samples 2000 --seed 13",
+    "estimate-constant --family bhat --alphas 1.5 --x 0.2 --n1 2 "
+    "--n-samples 4000 --seed 4",
+    "estimate-constant --alpha 1.5 --x 0.1 --n-grid 129 --n-samples 4000 "
+    "--refine-check --seed 11",
+    "estimate-constant --family limit-1d --method plain --alpha 1.5 --x 0.2 "
+    "--s-schedule 1,2,3 --n-samples 20000 --seed 14",
+    "convergence --method plain --alpha 1.5 --s-schedule 1,2,3 "
+    "--n-samples 20000 --seed 15",
+    "run-experiment --family stationary-2d --u 2.5 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 2000 --max-sims 100000 "
+    "--target-samples 2000 --seed 16",
+    "run-experiment --family one-point-2d --u 2.5 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 2000 --max-sims 100000 "
+    "--target-samples 2000 --seed 17",
+    "run-experiment --family one-point-2d --alpha 1 --beta1 1 --alpha2 2 "
+    "--beta2 1 --u 2.5 --x-grid 0,0.5,1 --n-conditioned 300 "
+    "--sim-batch 2000 --max-sims 100000 --target-samples 2000 --seed 18",
+]
+
+RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
 
 
 def table_digest(argv, out):
