@@ -391,12 +391,21 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
     for i, S in enumerate(sched):
         sub = mc.derive_seed(seed, i)
         kernel, params = _kernel_1d(method, alpha, float(x), S, delta)
-        v, se, n_chunks = mc.chunked_mean(kernel, n_samples, sub, params,
-                                          chunk_size=chunk_size,
-                                          workers=workers)
+        if method == "plain":
+            # on _kernel_1d's grid; estimate_berman_1d refuses what the plain
+            # average cannot run and gives x >= S an exact 0 without drawing
+            est = estimate_berman_1d(alpha, DriftSpec(), x, (0.0, S),
+                                     len(params["t"]), n_samples, sub,
+                                     workers=workers, chunk_size=chunk_size)
+            v, se = est.value, est.std_err
+            streams += est.metadata["stream_ids"]
+        else:
+            v, se, n_chunks = mc.chunked_mean(kernel, n_samples, sub, params,
+                                              chunk_size=chunk_size,
+                                              workers=workers)
+            streams += mc.stream_ids(sub, n_chunks)
         vals.append(v)
         ses.append(se)
-        streams += mc.stream_ids(sub, n_chunks)
     fit = mc.fit_line(sched, vals, ses)
     if fit.slope < 0:
         raise mc.NumericFailure(
@@ -468,15 +477,14 @@ def estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
 
     The field is W_alpha1(t1) + W_alpha2(t2) minus the per-axis drifts;
     degenerate axes (alpha_i = 0) contribute their drift only. Each axis
-    spans _axis_interval(S, alpha_i, drift_i), and the estimate is E exp(z_x)
+    spans its side of _w2d_domain, and the estimate is E exp(z_x)
     over that domain divided by the normalization.
     """
     if S <= 0:
         raise ValueError("S must be > 0")
     if x < 0:
         raise ValueError("x must be >= 0")
-    domain = (_axis_interval(S, alpha1, drift1),
-              _axis_interval(S, alpha2, drift2))
+    domain = _w2d_domain(S, alpha1, alpha2, drift1, drift2)
     params = _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis,
                          float(x))
     (lo1, hi1), (lo2, hi2) = domain
@@ -505,8 +513,7 @@ def berman_curve_2d(alpha1, alpha2, x_grid, S, pitch, n_samples=100_000,
     """Shared-sample 2D constant estimates over an x grid (unnormalized),
     on the domain of estimate_berman_2d with no axis coarser than pitch."""
     xg = tuple(float(x) for x in x_grid)
-    domain = (_axis_interval(S, alpha1, drift1),
-              _axis_interval(S, alpha2, drift2))
+    domain = _w2d_domain(S, alpha1, alpha2, drift1, drift2)
     longest = max(hi - lo for lo, hi in domain)
     params = _w2d_params(alpha1, alpha2, drift1, drift2, domain,
                          int(round(longest / pitch)) + 1, xg)
@@ -516,15 +523,15 @@ def berman_curve_2d(alpha1, alpha2, x_grid, S, pitch, n_samples=100_000,
     return means, ses
 
 
-def _axis_interval(S, alpha, drift):
-    """[-S, S] when the drift confines the mass (alpha >= beta, or a
-    degenerate axis alpha = 0 carrying any drift); [0, S], which costs an S
-    divisor, when the axis is drift-free or its drift is steeper than its
+def _w2d_domain(S, alpha1, alpha2, drift1, drift2):
+    """Per axis [-S, S] when the drift confines the mass (alpha >= beta, or
+    a degenerate axis alpha = 0 carrying any drift); [0, S], which costs an
+    S divisor, when the axis is drift-free or its drift is steeper than its
     fluctuations (alpha < beta: the constant grows linearly per unit
     length)."""
-    if drift.b > 0 and (alpha >= drift.beta or alpha == 0):
-        return (-S, S)
-    return (0.0, S)
+    return tuple((-S, S) if drift.b > 0 and (alpha >= drift.beta or alpha == 0)
+                 else (0.0, S)
+                 for alpha, drift in ((alpha1, drift1), (alpha2, drift2)))
 
 
 def _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis, x):

@@ -149,6 +149,17 @@ def test_limit_slope_alpha2():
     assert est.metadata["intercept"] > 0
 
 
+@pytest.mark.parametrize("x", [1.0, 1.005])
+def test_limit_plain_vanishing_entry_draws_nothing(x):
+    """A schedule entry S with x >= S is 0 by bound, also when x lies in
+    the last grid step past S, and draws no substream."""
+    est = estimate_berman_1d_limit(1.5, x, (1.0, 2.0, 3.0), n_samples=500,
+                                   seed=3, method="plain")
+    assert est.metadata["per_S"][0] == (1.0, 0.0, 0.0)
+    drawn = [mc.derive_seed(3, i) for i in (1, 2)]
+    assert est.metadata["stream_ids"] == [f"sfc64:{s}:0" for s in drawn]
+
+
 def test_pickands_alpha1_is_one():
     est = estimate_pickands(1.0, n_samples=15_000, seed=4)
     assert abs(est.value - 1.0) < 0.05

@@ -81,8 +81,8 @@ SYNTHESIS = [
 
 # estimator branches the runs above miss: 2D axis sides (confining, steep
 # and degenerate drifts, an even point count on a two-sided axis), a
-# single-alpha bhat, a refinement pass, plain limit kernels and the 2D
-# experiment target curves
+# single-alpha bhat, a refinement pass, plain limit kernels (one with x in
+# the last grid step past its first S) and the 2D experiment target curves
 BRANCHES = [
     "estimate-constant --family plain-2d --alpha 1.5 --alpha2 1 --drift-b 1 "
     "--drift-beta 1 --drift2-b 0.5 --drift2-beta 2 --n-grid-axis 65 "
@@ -95,6 +95,8 @@ BRANCHES = [
     "--refine-check --seed 11",
     "estimate-constant --family limit-1d --method plain --alpha 1.5 --x 0.2 "
     "--s-schedule 1,2,3 --n-samples 20000 --seed 14",
+    "estimate-constant --family limit-1d --method plain --alpha 1.5 --x 1.005 "
+    "--s-schedule 1,2,3 --n-samples 2000 --seed 19",
     "convergence --method plain --alpha 1.5 --s-schedule 1,2,3 "
     "--n-samples 20000 --seed 15",
     "run-experiment --family stationary-2d --u 2.5 --x-grid 0,0.5,1 "
