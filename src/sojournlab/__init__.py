@@ -22,10 +22,8 @@ from .berman import (DEFAULT_LIMIT_SCHEDULE, ConstantEstimate,
                      estimate_berman_1d_limit, estimate_berman_2d,
                      estimate_bhat, estimate_pickands,
                      parabola_constant_closed_form)
-from .asymptotics import (ChiFamily, DoubleSumResult, ExperimentResult,
-                          ExperimentSettings, OnePoint2D, QueueAsymptotics,
-                          QueueFamily, ScalingFamily, Stationary1D,
-                          Stationary2D, conditional_sojourn_cdf,
-                          double_sum_diagnostic, queue_asymptotics,
-                          queue_prefactor, queue_window_exceed_mc,
-                          scaling_function)
+from .asymptotics import (DoubleSumResult, ExperimentResult,
+                          ExperimentSettings, QueueAsymptotics,
+                          conditional_sojourn_cdf, double_sum_diagnostic,
+                          queue_asymptotics, queue_prefactor,
+                          queue_window_exceed_mc, scaling_function)

@@ -7,6 +7,11 @@ fast pairwise block exceedances die off relative to single-block ones, and
 how well the closed-form queue prediction tracks a crude simulation. Every
 experiment is deterministic given (settings, seed) and never shares RNG
 streams with the constant estimates it is compared against.
+
+An experiment's family is the gaussim spec it simulates: StationaryExp1D,
+Chi (which rescales like its base), StationaryExp2D, ScaledVariance2D (one
+variance peak, at the origin) or Queue. The functions here dispatch on the
+spec's type; the spec's own validation is the family's.
 """
 
 import itertools
@@ -26,116 +31,56 @@ from .gaussim import (Chi, DriftSpec, GridSpec, Lattice2D, Queue,
 MIN_CONFIDENT_CONDITIONED = 500
 
 
-class ScalingFamily:
-    """Marker base class for the experiment family records below."""
-
-
-@dataclass(frozen=True)
-class Stationary1D(ScalingFamily):
-    """Stationary process with correlation 1 - r ~ a|t|^alpha near 0."""
-    a: float
-    alpha: float
-
-    def __post_init__(self):
-        StationaryExp1D(self.a, self.alpha)  # a > 0, alpha in (0, 2]
-
-
-@dataclass(frozen=True)
-class Stationary2D(ScalingFamily):
-    """Separable stationary field, 1 - r ~ a1|t1|^alpha1 + a2|t2|^alpha2."""
-    a1: float
-    a2: float
-    alpha1: float
-    alpha2: float
-
-    def __post_init__(self):
-        StationaryExp2D(self.a1, self.a2, self.alpha1, self.alpha2)
-
-
-@dataclass(frozen=True)
-class OnePoint2D(ScalingFamily):
-    """Field with a unique variance peak: 1 - sigma ~ b_i|t_i|^beta_i at 0.
-
-    The correlation parameters (a_i, alpha_i) and the variance parameters
-    (b_i, beta_i) compete per axis; the alpha/beta ordering decides whether
-    an axis keeps its fluctuations, keeps them with a drift, or degenerates
-    to a pure drift in the local limit.
-    """
-    a1: float
-    a2: float
-    alpha1: float
-    alpha2: float
-    b1: float
-    b2: float
-    beta1: float
-    beta2: float
-
-    def __post_init__(self):
-        ScaledVariance2D(StationaryExp2D(self.a1, self.a2, self.alpha1,
-                                         self.alpha2),
-                         self.b1, self.b2, self.beta1, self.beta2)
-
-    def axis_table(self, i):
-        """(hat_alpha, drift_coef) for axis i per the alpha/beta ordering."""
-        a, alpha, b, beta = {1: (self.a1, self.alpha1, self.b1, self.beta1),
-                             2: (self.a2, self.alpha2, self.b2, self.beta2)}[i]
-        if alpha < beta:
-            return alpha, 0.0
-        if alpha == beta:
-            return alpha, b / a
-        return 0.0, b
-
-
-@dataclass(frozen=True)
-class ChiFamily(ScalingFamily):
-    """Degree-m chi process built on a Stationary1D(a, alpha) base."""
-    a: float
-    alpha: float
-    m: int = 1
-
-    def __post_init__(self):
-        Chi(self.m, StationaryExp1D(self.a, self.alpha))
-
-
-@dataclass(frozen=True)
-class QueueFamily(ScalingFamily):
-    """Stationary reflected-fBm queue with service rate c."""
-    alpha: float
-    c: float
-
-    def __post_init__(self):
-        Queue(self.alpha, self.c)  # alpha in (0, 2), c > 0
-
-
-def _axis_scales(family, u):
+def _axis_scales(spec, u):
     """Local scale a^(-1/alpha) u^(-2/alpha) of each axis at level u.
 
-    On a OnePoint2D axis whose variance decays faster than its correlation
-    (beta < alpha) the decay sets the scale, u^(-2/beta): the exponent
-    1/alpha* of a is zero there.
+    A Chi spec rescales like its base. On a ScaledVariance2D axis whose
+    variance decays faster than its correlation (beta < alpha) the decay
+    sets the scale, u^(-2/beta): the exponent 1/alpha* of a is zero there.
     """
-    if isinstance(family, (Stationary1D, ChiFamily)):
-        axes = [(family.a, family.alpha, math.inf)]
-    elif isinstance(family, Stationary2D):
-        axes = [(family.a1, family.alpha1, math.inf),
-                (family.a2, family.alpha2, math.inf)]
-    elif isinstance(family, OnePoint2D):
-        axes = [(family.a1, family.alpha1, family.beta1),
-                (family.a2, family.alpha2, family.beta2)]
+    if isinstance(spec, Chi):
+        spec = spec.base
+    if isinstance(spec, StationaryExp1D):
+        axes = [(spec.a, spec.alpha, math.inf)]
+    elif isinstance(spec, StationaryExp2D):
+        axes = [(spec.a1, spec.alpha1, math.inf),
+                (spec.a2, spec.alpha2, math.inf)]
+    elif isinstance(spec, ScaledVariance2D):
+        axes = [(spec.base.a1, spec.base.alpha1, spec.beta1),
+                (spec.base.a2, spec.base.alpha2, spec.beta2)]
     else:
-        raise TypeError(f"unknown scaling family {type(family).__name__}")
+        raise TypeError(f"unknown experiment family {type(spec).__name__}")
     return [a ** (-1.0 / alpha) * u ** (-2.0 / alpha) if alpha <= beta
             else u ** (-2.0 / beta) for a, alpha, beta in axes]
 
 
+def _axis_table(spec, i):
+    """(hat_alpha, drift_coef) of axis i of a ScaledVariance2D spec.
+
+    The correlation parameters (a_i, alpha_i) and the variance parameters
+    (b_i, beta_i) compete per axis: with alpha < beta the axis keeps its
+    fluctuations, with alpha = beta it keeps them with a drift, and with
+    alpha > beta it degenerates to a pure drift in the local limit.
+    """
+    a, alpha, b, beta = {
+        1: (spec.base.a1, spec.base.alpha1, spec.b1, spec.beta1),
+        2: (spec.base.a2, spec.base.alpha2, spec.b2, spec.beta2)}[i]
+    if alpha < beta:
+        return alpha, 0.0
+    if alpha == beta:
+        return alpha, b / a
+    return 0.0, b
+
+
 def scaling_function(family, u):
-    """Volume scale v(u) of the conditional sojourn limit for the family."""
+    """Volume scale v(u) of the conditional sojourn limit for the family's
+    gaussim spec."""
     if u <= 0:
         raise ValueError("u must be > 0")
-    if isinstance(family, QueueFamily):
+    if isinstance(family, Queue):
         # (sqrt(2) tau^alpha / (1 + c tau))^(2/alpha), with the sqrt pulled
         # out so clean cases (alpha = c = 1 gives exactly 1/2) stay exact
-        tau = Queue(family.alpha, family.c).tau_star
+        tau = family.tau_star
         base = tau ** family.alpha / (1.0 + family.c * tau)
         return (2.0 ** (1.0 / family.alpha) * base ** (2.0 / family.alpha)
                 * u ** (2.0 * (family.alpha - 1.0) / family.alpha))
@@ -171,15 +116,19 @@ class ExperimentSettings:
             raise ValueError("need 1 <= sim_batch <= max_sims")
         if self.target_S <= 0 or self.target_S_2d <= 0:
             raise ValueError("target domains must be > 0")
-        if self.queue_T is not None and self.queue_T <= 0:
-            raise ValueError("queue_T must be > 0 when given")
+        if self.queue_T is not None and \
+                self.queue_T - 1.0 / self.points_per_v - 1e-12 <= 0:
+            # conditional_sojourn_cdf drops every x within one grid step of
+            # the window end, which would drop x = 0 too
+            raise ValueError("queue_T must exceed one grid step "
+                             "1/points_per_v when given")
         if self.queue_M <= 0:
             raise ValueError("queue_M must be > 0")
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    family: ScalingFamily
+    family: object  # the gaussim spec simulated
     u: float
     x_grid: tuple
     ratio_hat: tuple
@@ -222,6 +171,11 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
     target curve built at the same rescaled pitch. The retained volumes are
     shared across the x grid, so the empirical curve is exactly
     nonincreasing with ratio 1 at x = 0.
+
+    family is the gaussim spec simulated: StationaryExp1D, Chi,
+    StationaryExp2D, ScaledVariance2D (variance peak at the origin) or
+    Queue. metadata["stream_ids"] names the rejection loop's generator, then
+    the target curve's substreams.
     """
     xg = _check_x_grid(x_grid)
     if u <= 0:
@@ -230,7 +184,8 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         raise ValueError("n_target_conditioned must be >= 1")
     t0 = time.perf_counter()
     v_u = scaling_function(family, u)
-    rng = mc.generator(mc.derive_seed(seed, 0xE))
+    rejection_seed = mc.derive_seed(seed, 0xE)
+    rng = mc.generator(rejection_seed)
 
     vols, n_sims, domain_vol, grid_meta = _collect_conditioned(
         family, settings, u, rng, n_target_conditioned)
@@ -245,7 +200,7 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         flags.append("low-confidence")
 
     xg_kept, excluded = xg, []
-    if isinstance(family, QueueFamily) and settings.queue_T is not None:
+    if isinstance(family, Queue) and settings.queue_T is not None:
         # near the right edge of a finite horizon the conditional limit is
         # not defined; refuse x within one grid step of T
         edge = settings.queue_T - 1.0 / settings.points_per_v
@@ -253,8 +208,9 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         excluded = [x for x in xg if x >= edge - 1e-12]
         if excluded:
             flags.append("excluded-near-horizon")
-    if isinstance(family, OnePoint2D) and (family.axis_table(1)[0] == 0.0
-                                           or family.axis_table(2)[0] == 0.0):
+    if isinstance(family, ScaledVariance2D) and (
+            _axis_table(family, 1)[0] == 0.0
+            or _axis_table(family, 2)[0] == 0.0):
         flags.append("degenerate-axis")
 
     counts = np.array([(vols > v_u * x).sum() for x in xg_kept])
@@ -264,13 +220,14 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
     for j, k in enumerate(counts):
         ci_lo[j], ci_hi[j] = mc.wilson_interval(int(k), n_cond)
 
-    target, target_se = _target_curve(family, settings, xg_kept,
-                                      mc.derive_seed(seed, 0x7A), workers)
+    target, target_se, target_streams = _target_curve(
+        family, settings, xg_kept, mc.derive_seed(seed, 0x7A), workers)
     sup_distance = float(np.max(np.abs(ratio - target)))
 
     meta = {"seed": seed, "v_u": v_u, "n_sims": n_sims,
             "domain_volume": domain_vol, "runtime_s": time.perf_counter() - t0,
             "pitch": 1.0 / settings.points_per_v, "excluded_x": tuple(excluded),
+            "stream_ids": [mc.stream_id(rejection_seed)] + target_streams,
             **grid_meta}
     return ExperimentResult(family, float(u), tuple(xg_kept),
                             tuple(ratio.tolist()), tuple(ci_lo.tolist()),
@@ -299,110 +256,96 @@ def _collect_conditioned(family, settings, u, rng, n_target):
 
 def _family_sampler(family, settings, u, ppv):
     """Per-family closure returning exceedance-node counts per replicate."""
-    if isinstance(family, (Stationary1D, ChiFamily)):
-        ell = scaling_function(family, u)
-        delta = ell / ppv
+    if isinstance(family, (StationaryExp1D, Chi)):
+        delta = scaling_function(family, u) / ppv
         n_pts = int(math.ceil(settings.domain_T / delta)) + 1
-        spec = StationaryExp1D(family.a, family.alpha)
-        if isinstance(family, ChiFamily):
-            chi = Chi(family.m, spec)
+        batch = chi_batch if isinstance(family, Chi) else stationary_batch
 
-            def sampler(rng, m):
-                return (chi_batch(rng, m, chi, n_pts, delta) > u).sum(axis=1)
-        else:
-            def sampler(rng, m):
-                return (stationary_batch(rng, m, spec, n_pts, delta) > u
-                        ).sum(axis=1)
+        def sampler(rng, m):
+            return (batch(rng, m, family, n_pts, delta) > u).sum(axis=1)
         return sampler, delta, (n_pts - 1) * delta, \
             {"delta": delta, "n_points": n_pts}
 
-    if isinstance(family, Stationary2D):
+    if isinstance(family, StationaryExp2D):
         d1, d2 = (e / ppv for e in _axis_scales(family, u))
         n1 = int(math.ceil(settings.domain_T / d1)) + 1
         n2 = int(math.ceil(settings.domain_T2 / d2)) + 1
         lat = Lattice2D(GridSpec(0.0, (n1 - 1) * d1, n1),
                         GridSpec(0.0, (n2 - 1) * d2, n2))
-        spec = StationaryExp2D(family.a1, family.a2, family.alpha1,
-                               family.alpha2)
 
         def sampler(rng, m):
-            f = stationary2d_batch(rng, m, spec, lat)
+            f = stationary2d_batch(rng, m, family, lat)
             return (f > u).sum(axis=(1, 2))
         return sampler, d1 * d2, (n1 - 1) * d1 * (n2 - 1) * d2, \
             {"delta": (d1, d2), "n_points": (n1, n2)}
 
-    if isinstance(family, OnePoint2D):
+    if isinstance(family, ScaledVariance2D):
+        # the lattice is centred on the variance peak at the origin
         d1, d2 = (e / ppv for e in _axis_scales(family, u))
         h1 = int(math.ceil(settings.domain_T / d1))
         h2 = int(math.ceil(settings.domain_T2 / d2))
         lat = Lattice2D(GridSpec(-h1 * d1, h1 * d1, 2 * h1 + 1),
                         GridSpec(-h2 * d2, h2 * d2, 2 * h2 + 1))
-        spec = ScaledVariance2D(
-            StationaryExp2D(family.a1, family.a2, family.alpha1,
-                            family.alpha2),
-            family.b1, family.b2, family.beta1, family.beta2)
-        s = spec.sigma(lat.axis1.times()[:, None], lat.axis2.times()[None, :])
+        s = family.sigma(lat.axis1.times()[:, None],
+                         lat.axis2.times()[None, :])
 
         def sampler(rng, m):
-            f = s[None, :, :] * stationary2d_batch(rng, m, spec.base, lat)
+            f = s[None, :, :] * stationary2d_batch(rng, m, family.base, lat)
             return (f > u).sum(axis=(1, 2))
         return sampler, d1 * d2, 2 * h1 * d1 * 2 * h2 * d2, \
             {"delta": (d1, d2), "n_points": (2 * h1 + 1, 2 * h2 + 1)}
 
-    if isinstance(family, QueueFamily):
-        v_u = scaling_function(family, u)
-        delta = v_u / ppv
+    if isinstance(family, Queue):
+        delta = scaling_function(family, u) / ppv
         horizon = settings.queue_T if settings.queue_T is not None \
             else family.c * settings.queue_M
         n_pts = int(round(horizon * ppv)) + 1
-        spec = Queue(family.alpha, family.c)
 
         def sampler(rng, m):
-            q = queue_batch(rng, m, spec, n_pts, delta, u_ref=u)
+            q = queue_batch(rng, m, family, n_pts, delta, u_ref=u)
             return (q > u).sum(axis=1)
         return sampler, delta, (n_pts - 1) * delta, \
             {"delta": delta, "n_points": n_pts, "horizon_T_u": (n_pts - 1) * delta}
 
-    raise TypeError(f"unknown scaling family {type(family).__name__}")
+    raise TypeError(f"unknown experiment family {type(family).__name__}")
 
 
 def _target_curve(family, settings, xg, seed, workers):
-    """Constant-ratio limit curve at the experiment's rescaled pitch."""
+    """Constant-ratio limit curve at the experiment's rescaled pitch, with
+    the substreams its estimate drew."""
     pitch = 1.0 / settings.points_per_v
-    if isinstance(family, (Stationary1D, ChiFamily, QueueFamily)):
+    if isinstance(family, (StationaryExp1D, Chi, Queue)):
         # a fixed queue window is short enough for plain averaging; long-run
         # targets need the tilted kernel, whose variance is flat in S
-        fixed = isinstance(family, QueueFamily) and settings.queue_T is not None
-        vals, ses = berman_curve_1d(
-            family.alpha, xg, settings.queue_T if fixed else settings.target_S,
+        fixed = isinstance(family, Queue) and settings.queue_T is not None
+        alpha = family.base.alpha if isinstance(family, Chi) else family.alpha
+        vals, ses, streams = berman_curve_1d(
+            alpha, xg, settings.queue_T if fixed else settings.target_S,
             n_samples=settings.target_samples, seed=seed, delta=pitch,
             method="plain" if fixed else "tilted", workers=workers,
             chunk_size=mc.DEFAULT_CHUNK if fixed else 1024)
-    elif isinstance(family, Stationary2D):
-        vals, ses = berman_curve_2d(family.alpha1, family.alpha2, xg,
-                                    settings.target_S_2d, pitch,
-                                    n_samples=settings.target_samples,
-                                    seed=seed, workers=workers)
-    elif isinstance(family, OnePoint2D):
+    elif isinstance(family, StationaryExp2D):
+        vals, ses, streams = berman_curve_2d(
+            family.alpha1, family.alpha2, xg, settings.target_S_2d, pitch,
+            n_samples=settings.target_samples, seed=seed, workers=workers)
+    elif isinstance(family, ScaledVariance2D):
         hats, drifts = [], []
-        for i in (1, 2):
-            hat_alpha, coef = family.axis_table(i)
-            beta = family.beta1 if i == 1 else family.beta2
+        for i, beta in ((1, family.beta1), (2, family.beta2)):
+            hat_alpha, coef = _axis_table(family, i)
             hats.append(hat_alpha)
             drifts.append(DriftSpec(coef, beta) if coef > 0 else DriftSpec())
-        vals, ses = berman_curve_2d(hats[0], hats[1], xg,
-                                    settings.target_S_2d, pitch,
-                                    n_samples=settings.target_samples,
-                                    seed=seed, drift1=drifts[0],
-                                    drift2=drifts[1], workers=workers)
+        vals, ses, streams = berman_curve_2d(
+            hats[0], hats[1], xg, settings.target_S_2d, pitch,
+            n_samples=settings.target_samples, seed=seed, drift1=drifts[0],
+            drift2=drifts[1], workers=workers)
     else:
-        raise TypeError(f"unknown scaling family {type(family).__name__}")
+        raise TypeError(f"unknown experiment family {type(family).__name__}")
     target = vals / vals[0]
     rel0 = ses[0] / vals[0]
     target_se = target * np.sqrt((ses / np.maximum(vals, 1e-300)) ** 2
                                  + rel0 ** 2)
     target_se[0] = 0.0
-    return target, target_se
+    return target, target_se, streams
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +353,7 @@ def _target_curve(family, settings, xg, seed, workers):
 
 @dataclass(frozen=True)
 class DoubleSumResult:
-    family: ScalingFamily
+    family: object  # the gaussim spec simulated
     u: float
     n_schedule: tuple
     ratios: tuple
@@ -433,13 +376,14 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     runs would be. With independent_blocks=True every block is simulated from
     a fresh process (a control whose ratio must match the independence
     bound); the control exists for the 1D family only. Replicates run in
-    chunks of settings.sim_batch through mc.chunked_mean.
+    chunks of settings.sim_batch through mc.chunked_mean. family is a
+    StationaryExp1D or StationaryExp2D spec.
     """
     settings = settings or ExperimentSettings()
-    if not isinstance(family, (Stationary1D, Stationary2D)):
+    if not isinstance(family, (StationaryExp1D, StationaryExp2D)):
         raise TypeError("double-sum diagnostic expects a stationary 1D or 2D "
                         "family")
-    if independent_blocks and isinstance(family, Stationary2D):
+    if independent_blocks and isinstance(family, StationaryExp2D):
         raise ValueError("independent_blocks is available for the stationary "
                          "1D family only")
     sched = [float(n) for n in n_schedule]
@@ -464,14 +408,12 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
         widths.append(w)
         n_blocks.append(k)
 
-    if isinstance(family, Stationary2D):
-        spec = StationaryExp2D(family.a1, family.a2, family.alpha1,
-                               family.alpha2)
+    if isinstance(family, StationaryExp2D):
         grid = Lattice2D(*(GridSpec(0.0, c * d, c + 1)
                            for c, d in zip(cells, deltas)))
     else:
-        spec, grid = StationaryExp1D(family.a, family.alpha), deltas[0]
-    params = {"spec": spec, "grid": grid, "cells": tuple(cells), "u": u,
+        grid = deltas[0]
+    params = {"spec": family, "grid": grid, "cells": tuple(cells), "u": u,
               "widths": tuple(widths), "n_blocks": tuple(n_blocks),
               "independent_blocks": independent_blocks}
     sub = mc.derive_seed(seed, 0xD5)
@@ -553,14 +495,14 @@ def queue_asymptotics(alpha, c, u):
     coefficients of the standardized boundary at tau_star, and q(u) = v(u)/u
     the sojourn scale per unit level.
     """
-    fam = QueueFamily(alpha, c)
+    spec = Queue(alpha, c)
     if u <= 0:
         raise ValueError("u must be > 0")
-    tau = Queue(alpha, c).tau_star
+    tau = spec.tau_star
     m_u = (1.0 + c * tau) / tau ** (alpha / 2.0) * u ** (1.0 - alpha / 2.0)
     A = tau ** (-alpha / 2.0) * 2.0 / (2.0 - alpha)
     B = tau ** (-alpha / 2.0 - 1.0) * alpha / 2.0
-    q_u = scaling_function(fam, u) / u
+    q_u = scaling_function(spec, u) / u
     return QueueAsymptotics(tau, m_u, A, B, q_u)
 
 
@@ -592,10 +534,10 @@ def queue_window_exceed_mc(u, c, n, n_paths=200_000, seed=0, *,
     independent of the window path, so each path yields a conditional
     exceedance probability rather than a raw indicator.
     """
-    fam = QueueFamily(1.0, c)
+    spec = Queue(1.0, c)
     if u <= 0 or n <= 0:
         raise ValueError("u and n must be > 0")
-    w = scaling_function(fam, u) * n
+    w = scaling_function(spec, u) * n
     N = max(int(round(w / delta)), 1)
     params = {"u": u, "c": c, "N": N, "d": w / N}
     mean, se, _ = mc.chunked_mean(_queue_window_kernel, n_paths,

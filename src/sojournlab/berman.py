@@ -387,6 +387,8 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
     sched = [float(S) for S in S_schedule]
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("S_schedule must be increasing with at least 3 entries")
+    if sched[0] <= 0:
+        raise ValueError("S_schedule entries must be > 0")
     vals, ses, streams = [], [], []
     for i, S in enumerate(sched):
         sub = mc.derive_seed(seed, i)
@@ -442,16 +444,18 @@ def berman_curve_1d(alpha, x_grid, S, n_samples=100_000, seed=0, *,
     exactly nonincreasing in x. method="plain" averages exp(z_x) directly
     and is the right choice for short intervals; method="tilted" uses the
     shift-randomized kernel whose variance does not grow with S, which long
-    target curves need. Returns (values, std_errs) arrays.
+    target curves need. Returns (values, std_errs, stream_ids): two arrays
+    and the substreams drawn.
     """
     xg = tuple(float(x) for x in x_grid)
     if any(x < 0 for x in xg):
         raise ValueError("x grid must be nonnegative")
     kernel, params = _kernel_1d(method, alpha, xg, S, delta)
-    means, ses, _ = mc.chunked_mean(kernel, n_samples, seed, params,
-                                    width=len(xg), chunk_size=chunk_size,
-                                    workers=workers)
-    return means, ses
+    means, ses, n_chunks = mc.chunked_mean(kernel, n_samples, seed, params,
+                                           width=len(xg),
+                                           chunk_size=chunk_size,
+                                           workers=workers)
+    return means, ses, mc.stream_ids(seed, n_chunks)
 
 
 def _kernel_1d(method, alpha, x, S, delta):
@@ -511,16 +515,18 @@ def berman_curve_2d(alpha1, alpha2, x_grid, S, pitch, n_samples=100_000,
                     seed=0, *, drift1=DriftSpec(), drift2=DriftSpec(),
                     workers=1, chunk_size=1024):
     """Shared-sample 2D constant estimates over an x grid (unnormalized),
-    on the domain of estimate_berman_2d with no axis coarser than pitch."""
+    on the domain of estimate_berman_2d with no axis coarser than pitch.
+    Returns (values, std_errs, stream_ids) like berman_curve_1d."""
     xg = tuple(float(x) for x in x_grid)
     domain = _w2d_domain(S, alpha1, alpha2, drift1, drift2)
     longest = max(hi - lo for lo, hi in domain)
     params = _w2d_params(alpha1, alpha2, drift1, drift2, domain,
                          int(round(longest / pitch)) + 1, xg)
-    means, ses, _ = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
-                                    width=len(xg), chunk_size=chunk_size,
-                                    workers=workers)
-    return means, ses
+    means, ses, n_chunks = mc.chunked_mean(_w2d_kernel, n_samples, seed,
+                                           params, width=len(xg),
+                                           chunk_size=chunk_size,
+                                           workers=workers)
+    return means, ses, mc.stream_ids(seed, n_chunks)
 
 
 def _w2d_domain(S, alpha1, alpha2, drift1, drift2):
@@ -574,6 +580,9 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
     if delta1 <= 0 or delta_rest <= 0:
         raise ValueError("delta1 and delta_rest must be > 0")
     n_grid1 = int(round(n1 / delta1)) + 1
+    if n_grid1 < 2:
+        raise ValueError(f"n1 / delta1 = {n1 / delta1:g} rounds to 0 grid "
+                         "steps; lower delta1")
 
     if len(alphas) == 1:
         est = estimate_berman_1d(alphas[0], DriftSpec(), x, (0.0, n1), n_grid1,
@@ -584,6 +593,8 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
     sched = [float(n) for n in n_rest_schedule]
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("n_rest_schedule must be increasing with >= 3 entries")
+    if sched[0] <= 0:
+        raise ValueError("n_rest_schedule entries must be > 0")
     rest = alphas[1:]
     power = len(rest)
     ys, yses, raw, streams = [], [], [], []

@@ -18,13 +18,13 @@ import sys
 import time
 
 from . import __version__, mc
-from .asymptotics import (ChiFamily, ExperimentSettings, OnePoint2D,
-                          QueueFamily, Stationary1D, Stationary2D,
-                          conditional_sojourn_cdf, double_sum_diagnostic)
+from .asymptotics import (ExperimentSettings, conditional_sojourn_cdf,
+                          double_sum_diagnostic)
 from .berman import (brownian_sup_oracle, estimate_berman_1d,
                      estimate_berman_1d_limit, estimate_berman_2d,
                      estimate_bhat, parabola_constant_closed_form)
-from .gaussim import DriftSpec
+from .gaussim import (Chi, DriftSpec, Queue, ScaledVariance2D,
+                      StationaryExp1D, StationaryExp2D)
 
 ENV_PREFIX = "SOJOURNLAB_"
 MANIFEST_SCHEMA = "sojournlab-manifest-v1"
@@ -253,18 +253,18 @@ def _run_estimate_constant(cfg, workers):
 
 
 def _experiment_family(cfg):
+    """The gaussim spec that the experiment family simulates."""
     fam = cfg["family"]
-    if fam == "stationary-1d":
-        return Stationary1D(cfg["a"], cfg["alpha"])
-    if fam == "stationary-2d":
-        return Stationary2D(cfg["a"], cfg["a2"], cfg["alpha"], cfg["alpha2"])
-    if fam == "one-point-2d":
-        return OnePoint2D(cfg["a"], cfg["a2"], cfg["alpha"], cfg["alpha2"],
-                          cfg["b1"], cfg["b2"], cfg["beta1"], cfg["beta2"])
-    if fam == "chi":
-        return ChiFamily(cfg["a"], cfg["alpha"], cfg["chi_m"])
+    if fam in ("stationary-1d", "chi"):
+        base = StationaryExp1D(cfg["a"], cfg["alpha"])
+        return base if fam == "stationary-1d" else Chi(cfg["chi_m"], base)
+    if fam in ("stationary-2d", "one-point-2d"):
+        base = StationaryExp2D(cfg["a"], cfg["a2"], cfg["alpha"],
+                               cfg["alpha2"])
+        return base if fam == "stationary-2d" else ScaledVariance2D(
+            base, cfg["b1"], cfg["b2"], cfg["beta1"], cfg["beta2"])
     if fam == "queue":
-        return QueueFamily(cfg["alpha"], cfg["c"])
+        return Queue(cfg["alpha"], cfg["c"])
     raise ConfigError(f"unknown experiment family {fam!r}")
 
 
@@ -286,10 +286,10 @@ def _run_experiment(cfg, workers):
     rows, flags, streams = [], [], {}
     for i, u in enumerate(levels):
         seed_u = mc.derive_seed(cfg["seed"], 1000 + i)
-        streams[f"u={u:g}"] = seed_u
         res = conditional_sojourn_cdf(family, settings, u, xg,
                                       n_target_conditioned=cfg["n_conditioned"],
                                       seed=seed_u, workers=workers)
+        streams[f"u={u:g}"] = res.metadata["stream_ids"]
         for j, x in enumerate(res.x_grid):
             rows.append((u, x, res.ratio_hat[j], res.ci_lo[j], res.ci_hi[j],
                          res.target_curve[j], res.target_se[j]))

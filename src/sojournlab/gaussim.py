@@ -145,13 +145,13 @@ class StationaryExp2D:
 
 @dataclass(frozen=True)
 class ScaledVariance2D:
-    """X(t) = sigma(t) Y(t), sigma(t) = exp(-b1|t1-t1*|^beta1 - b2|t2-t2*|^beta2)."""
+    """X(t) = sigma(t) Y(t), sigma(t) = exp(-b1|t1|^beta1 - b2|t2|^beta2):
+    one variance peak, at the origin."""
     base: StationaryExp2D
     b1: float
     b2: float
     beta1: float
     beta2: float
-    t_star: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.b1 <= 0 or self.b2 <= 0:
@@ -160,8 +160,8 @@ class ScaledVariance2D:
             raise ValueError("beta_i must be > 0")
 
     def sigma(self, t1, t2):
-        return np.exp(-self.b1 * np.abs(t1 - self.t_star[0]) ** self.beta1
-                      - self.b2 * np.abs(t2 - self.t_star[1]) ** self.beta2)
+        return np.exp(-self.b1 * np.abs(t1) ** self.beta1
+                      - self.b2 * np.abs(t2) ** self.beta2)
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,6 @@ class Queue:
     @property
     def tau_star(self):
         return self.alpha / (self.c * (2.0 - self.alpha))
-
-    @property
-    def horizon(self):
-        return self.horizon_mult * self.tau_star * self.u_ref
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +255,7 @@ def _fgn_eigs(alpha, n_steps):
     if ok is None:
         raise NumericFailure(
             f"fGn(alpha={alpha}, n={n_steps}): embedding eigenvalue "
-            f"{lam.min():.3e} below -{EIG_CLIP_REL:g} * max; "
-            "use the dense fallback for this grid")
+            f"{lam.min():.3e} below -{EIG_CLIP_REL:g} * max")
     ok.flags.writeable = False
     return ok
 
@@ -296,22 +291,6 @@ def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
     return b
 
 
-def _dense_fbm(rng, m, alpha, times):
-    """Dense-factorization fallback for small grids (exact covariance)."""
-    t = np.asarray(times, dtype=float)
-    nz = np.abs(t) > 1e-15
-    ts = t[nz]
-    aa = np.abs(ts[:, None]) ** alpha + np.abs(ts[None, :]) ** alpha
-    cov = 0.5 * (aa - np.abs(ts[:, None] - ts[None, :]) ** alpha)
-    w, v = np.linalg.eigh(cov)
-    w = np.maximum(w, 0.0)
-    root = v * np.sqrt(w)[None, :]
-    g = rng.standard_normal((m, len(ts)))
-    out = np.zeros((m, len(t)))
-    out[:, nz] = g @ root.T
-    return out
-
-
 def simulate_fbm(alpha, grid, seed):
     """One exact fBm path on a grid starting at 0.
 
@@ -322,11 +301,7 @@ def simulate_fbm(alpha, grid, seed):
     if abs(grid.start) > 1e-12:
         raise ValueError("fBm grids must start at 0 (path pinned at the origin)")
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    n_steps = grid.n_points - 1
-    if alpha < 2.0 and n_steps < 8:
-        values = _dense_fbm(rng, 1, alpha, grid.times())[0]
-    else:
-        values = fbm_batch(rng, 1, alpha, n_steps, grid.step)[0]
+    values = fbm_batch(rng, 1, alpha, grid.n_points - 1, grid.step)[0]
     return SamplePath(grid, values)
 
 

@@ -52,8 +52,13 @@ def substream(seed, chunk_index):
     return generator(seed, chunk_index)
 
 
+def stream_id(seed, *spawn_key):
+    """Name of the stream that generator(seed, *spawn_key) draws."""
+    return "sfc64:" + ":".join(str(int(v)) for v in (seed, *spawn_key))
+
+
 def stream_ids(seed, n_chunks):
-    return [f"sfc64:{int(seed)}:{k}" for k in range(n_chunks)]
+    return [stream_id(seed, k) for k in range(n_chunks)]
 
 
 def derive_seed(seed, tag):
@@ -143,14 +148,18 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
 
 
 def wilson_interval(k, n, z=1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    Each end is clamped so that the interval contains k/n: at k = 0 and
+    k = n rounding would otherwise leave the estimate just outside it.
+    """
     if n <= 0:
         return 0.0, 1.0
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
 LineFit = namedtuple("LineFit", "slope intercept slope_se intercept_se residuals")

@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from sojournlab import cli, mc
-from sojournlab.asymptotics import (ChiFamily, ExperimentSettings,
-                                    QueueFamily, Stationary1D,
+from sojournlab.asymptotics import (ExperimentSettings,
                                     double_sum_diagnostic,
                                     conditional_sojourn_cdf,
                                     queue_asymptotics, queue_prefactor,
@@ -24,8 +23,8 @@ from sojournlab.asymptotics import (ChiFamily, ExperimentSettings,
 from sojournlab.berman import (berman2_parabola_oracle, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
                                estimate_bhat, parabola_constant_closed_form)
-from sojournlab.gaussim import FbmW, GridSpec, SamplePath, simulate_fbm, \
-    w_field_batch
+from sojournlab.gaussim import Chi, FbmW, GridSpec, Queue, SamplePath, \
+    StationaryExp1D, simulate_fbm, w_field_batch
 from sojournlab.sojourn import batch_levels, level_for_sojourn, \
     reduction_quadrature
 
@@ -177,9 +176,9 @@ def test_conditional_curve_approaches_target():
     settings = ExperimentSettings(target_samples=50_000)
     x_grid = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
     families = {
-        "stationary": Stationary1D(1.0, 1.0),
-        "chi m=1": ChiFamily(1.0, 1.0, m=1),
-        "chi m=2": ChiFamily(1.0, 1.0, m=2),
+        "stationary": StationaryExp1D(1.0, 1.0),
+        "chi m=1": Chi(1, StationaryExp1D(1.0, 1.0)),
+        "chi m=2": Chi(2, StationaryExp1D(1.0, 1.0)),
     }
     ok = True
     parts = []
@@ -203,8 +202,8 @@ def test_conditional_curve_approaches_target():
 def test_block_pair_ratio_decays():
     """The pairwise-over-single block exceedance ratio falls monotonically
     over block sizes n in {2,4,8} at u=3 for the unit stationary family."""
-    res = double_sum_diagnostic(Stationary1D(1.0, 1.0), 3.0, (2.0, 4.0, 8.0),
-                                seed=5,
+    res = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 3.0,
+                                (2.0, 4.0, 8.0), seed=5,
                                 settings=ExperimentSettings(domain_T=2.0),
                                 n_sims=100_000)
     ok = res.ratios[0] > res.ratios[1] > res.ratios[2]
@@ -220,7 +219,7 @@ def test_queue_prediction_tracks_simulation():
     every u; tau*=1, A=2, B=1/2, m(u)=2 sqrt(u)), and the predicted window
     exceedance moves monotonically toward the simulated one over
     u in {4, 6, 8}."""
-    fam = QueueFamily(1.0, 1.0)
+    fam = Queue(1.0, 1.0)
     exact_ok = all(scaling_function(fam, u) == 0.5
                    for u in np.logspace(-6, 12, 37))
     qa = queue_asymptotics(1.0, 1.0, 4.0)

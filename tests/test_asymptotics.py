@@ -4,68 +4,73 @@ import numpy as np
 import pytest
 
 from sojournlab import mc
-from sojournlab.asymptotics import (ChiFamily, ExperimentResult,
-                                    ExperimentSettings, OnePoint2D,
-                                    QueueFamily, Stationary1D, Stationary2D,
-                                    conditional_sojourn_cdf,
+from sojournlab.asymptotics import (ExperimentResult, ExperimentSettings,
+                                    _axis_table, conditional_sojourn_cdf,
                                     double_sum_diagnostic, queue_asymptotics,
                                     queue_prefactor, queue_window_exceed_mc,
                                     scaling_function)
+from sojournlab.gaussim import (Chi, Queue, ScaledVariance2D,
+                                StationaryExp1D, StationaryExp2D)
+
+
+def _one_point(a1, a2, alpha1, alpha2, b1, b2, beta1, beta2):
+    return ScaledVariance2D(StationaryExp2D(a1, a2, alpha1, alpha2),
+                            b1, b2, beta1, beta2)
 
 
 def test_scaling_function_stationary_1d():
     # v = a^(-1/alpha) u^(-2/alpha)
-    assert scaling_function(Stationary1D(1.0, 1.0), 100.0) == 1e-4
-    assert scaling_function(Stationary1D(1.0, 1.0), 10.0) == 1e-2
-    assert np.isclose(scaling_function(Stationary1D(4.0, 2.0), 5.0), 0.1)
+    assert scaling_function(StationaryExp1D(1.0, 1.0), 100.0) == 1e-4
+    assert scaling_function(StationaryExp1D(1.0, 1.0), 10.0) == 1e-2
+    assert np.isclose(scaling_function(StationaryExp1D(4.0, 2.0), 5.0), 0.1)
     # the chi family rescales exactly like its base
-    assert scaling_function(ChiFamily(2.0, 1.0, m=3), 10.0) == 0.005
+    assert scaling_function(Chi(3, StationaryExp1D(2.0, 1.0)), 10.0) == 0.005
 
 
 def test_scaling_function_stationary_2d():
-    v = scaling_function(Stationary2D(1.0, 1.0, 1.0, 2.0), 2.0)
+    v = scaling_function(StationaryExp2D(1.0, 1.0, 1.0, 2.0), 2.0)
     assert np.isclose(v, 2.0 ** (-2.0 - 1.0))
 
 
 def test_scaling_function_queue_exact_half():
     """alpha = c = 1 collapses the queue volume scale to 1/2 for every u."""
-    fam = QueueFamily(1.0, 1.0)
+    fam = Queue(1.0, 1.0)
     for u in (1.0, 3.0, 4.0, 7.5, 100.0, 1e6):
         assert scaling_function(fam, u) == 0.5
 
 
 def test_scaling_function_queue_general():
-    assert np.isclose(scaling_function(QueueFamily(4.0 / 3.0, 1.0), 9.0),
+    assert np.isclose(scaling_function(Queue(4.0 / 3.0, 1.0), 9.0),
                       3.883934173658585, rtol=1e-12)
     with pytest.raises(ValueError):
-        scaling_function(QueueFamily(1.0, 1.0), 0.0)
+        scaling_function(Queue(1.0, 1.0), 0.0)
 
 
 def test_scaling_function_one_point_regimes():
     # alpha < beta on axis 1, alpha = beta on axis 2
-    fam = OnePoint2D(2.0, 3.0, 1.0, 1.0, 1.0, 1.5, 2.0, 1.0)
-    assert fam.axis_table(1) == (1.0, 0.0)
-    assert fam.axis_table(2) == (1.0, 0.5)
+    fam = _one_point(2.0, 3.0, 1.0, 1.0, 1.0, 1.5, 2.0, 1.0)
+    assert _axis_table(fam, 1) == (1.0, 0.0)
+    assert _axis_table(fam, 2) == (1.0, 0.5)
     v = scaling_function(fam, 2.0)
     assert np.isclose(v, (1.0 / 2.0) * (1.0 / 3.0) * 2.0 ** (-4.0))
     # degenerate axis: alpha > beta, the variance decay sets the scale
-    fam2 = OnePoint2D(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.5)
-    assert fam2.axis_table(2) == (0.0, 1.0)
+    fam2 = _one_point(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.5)
+    assert _axis_table(fam2, 2) == (0.0, 1.0)
     v2 = scaling_function(fam2, 2.0)
     assert np.isclose(v2, 2.0 ** (-2.0) * 2.0 ** (-4.0))
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        Stationary1D(-1.0, 1.0)
+        StationaryExp1D(-1.0, 1.0)
     with pytest.raises(ValueError):
-        Stationary1D(1.0, 2.5)
+        StationaryExp1D(1.0, 2.5)
     with pytest.raises(ValueError):
-        ChiFamily(1.0, 1.0, m=0)
+        Chi(0, StationaryExp1D(1.0, 1.0))
     with pytest.raises(ValueError):
-        QueueFamily(2.0, 1.0)
+        Queue(2.0, 1.0)
     with pytest.raises(ValueError):
-        QueueFamily(1.0, 0.0)
+        Queue(1.0, 0.0)
     with pytest.raises(TypeError):
         scaling_function(object(), 1.0)
 
@@ -77,11 +82,13 @@ def test_settings_validation():
         ExperimentSettings(sim_batch=1000, max_sims=10)
     with pytest.raises(ValueError):
         ExperimentSettings(queue_T=-1.0)
+    with pytest.raises(ValueError):  # x = 0 would be within one step of T
+        ExperimentSettings(queue_T=1.0 / 8, points_per_v=8)
 
 
 def test_experiment_result_rejects_broken_ratio():
     with pytest.raises(ValueError):
-        ExperimentResult(Stationary1D(1.0, 1.0), 2.0, (0.0, 1.0),
+        ExperimentResult(StationaryExp1D(1.0, 1.0), 2.0, (0.0, 1.0),
                          ratio_hat=(0.9, 0.5), ci_lo=(0, 0), ci_hi=(1, 1),
                          n_conditioned=10, target_curve=(1.0, 0.5),
                          target_se=(0.0, 0.01), sup_distance=0.0)
@@ -90,7 +97,7 @@ def test_experiment_result_rejects_broken_ratio():
 def test_conditional_sojourn_cdf_shape_and_anchoring():
     settings = ExperimentSettings(target_samples=4000, sim_batch=5000,
                                   max_sims=200_000)
-    res = conditional_sojourn_cdf(Stationary1D(1.0, 1.0), settings, 2.0,
+    res = conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 2.0,
                                   (0.0, 0.5, 1.0, 2.0),
                                   n_target_conditioned=800, seed=3)
     assert res.ratio_hat[0] == 1.0
@@ -107,7 +114,7 @@ def test_conditional_sojourn_cdf_shape_and_anchoring():
 def test_conditional_sojourn_cdf_low_confidence_flag():
     settings = ExperimentSettings(target_samples=3000, sim_batch=10_000,
                                   max_sims=20_000)
-    res = conditional_sojourn_cdf(Stationary1D(1.0, 1.0), settings, 3.0,
+    res = conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 3.0,
                                   (0.0, 1.0), n_target_conditioned=50_000,
                                   seed=1)
     assert 0 < res.n_conditioned < 500
@@ -118,17 +125,17 @@ def test_conditional_sojourn_cdf_no_exceedance_is_a_failure():
     settings = ExperimentSettings(target_samples=1000, sim_batch=5000,
                                   max_sims=5000)
     with pytest.raises(mc.NumericFailure):
-        conditional_sojourn_cdf(Stationary1D(1.0, 1.0), settings, 30.0,
+        conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 30.0,
                                 (0.0, 1.0), seed=0)
 
 
 def test_conditional_sojourn_cdf_x_grid_validation():
     settings = ExperimentSettings()
     with pytest.raises(ValueError):
-        conditional_sojourn_cdf(Stationary1D(1.0, 1.0), settings, 2.0,
+        conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 2.0,
                                 (0.5, 1.0))
     with pytest.raises(ValueError):
-        conditional_sojourn_cdf(Stationary1D(1.0, 1.0), settings, 2.0,
+        conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 2.0,
                                 (0.0, 1.0, 1.0))
 
 
@@ -137,7 +144,7 @@ def test_conditional_queue_excludes_near_horizon():
     against; they are dropped and flagged instead of silently reported."""
     settings = ExperimentSettings(target_samples=4000, sim_batch=5000,
                                   max_sims=200_000, queue_T=2.0)
-    res = conditional_sojourn_cdf(QueueFamily(1.0, 1.0), settings, 2.0,
+    res = conditional_sojourn_cdf(Queue(1.0, 1.0), settings, 2.0,
                                   (0.0, 0.5, 1.0, 1.5, 1.75, 2.5),
                                   n_target_conditioned=600, seed=2)
     assert "excluded-near-horizon" in res.flags
@@ -150,7 +157,7 @@ def test_conditional_one_point_degenerate_axis_flag():
     settings = ExperimentSettings(target_samples=3000, sim_batch=4000,
                                   max_sims=40_000, domain_T=0.5,
                                   domain_T2=0.5, target_S_2d=2.0)
-    fam = OnePoint2D(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.5)
+    fam = _one_point(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.5)
     res = conditional_sojourn_cdf(fam, settings, 1.5, (0.0, 0.5, 1.0),
                                   n_target_conditioned=300, seed=4)
     assert "degenerate-axis" in res.flags
@@ -159,14 +166,14 @@ def test_conditional_one_point_degenerate_axis_flag():
 
 def test_double_sum_rejects_wrong_family():
     with pytest.raises(TypeError):
-        double_sum_diagnostic(QueueFamily(1.0, 1.0), 3.0)
+        double_sum_diagnostic(Queue(1.0, 1.0), 3.0)
     with pytest.raises(TypeError):
-        double_sum_diagnostic(ChiFamily(1.0, 1.0), 3.0)
+        double_sum_diagnostic(Chi(1, StationaryExp1D(1.0, 1.0)), 3.0)
 
 
 def test_double_sum_needs_two_blocks():
     with pytest.raises(ValueError) as exc:
-        double_sum_diagnostic(Stationary1D(1.0, 1.0), 3.0, (8.0,), seed=0,
+        double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 3.0, (8.0,), seed=0,
                               n_sims=1000)
     assert "at least 2" in str(exc.value)
 
@@ -175,8 +182,9 @@ def test_double_sum_ratio_decreases_with_block_size():
     """Larger blocks spread exceedances apart, so the pairwise share of the
     counting mass must fall along the schedule."""
     settings = ExperimentSettings(domain_T=2.0)
-    res = double_sum_diagnostic(Stationary1D(1.0, 1.0), 3.0, (2.0, 4.0, 8.0),
-                                seed=5, settings=settings, n_sims=100_000)
+    res = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 3.0,
+                                (2.0, 4.0, 8.0), seed=5, settings=settings,
+                                n_sims=100_000)
     assert res.n_blocks == (9, 4, 2)
     assert res.ratios[0] > res.ratios[1] > res.ratios[2]
     assert all(s > 0 for s in res.single_counts)
@@ -186,7 +194,7 @@ def test_double_sum_ratio_decreases_with_block_size():
 def test_double_sum_one_batch_has_finite_errors():
     """n_sims == sim_batch is a single chunk; its errors are still finite."""
     settings = ExperimentSettings(domain_T=2.0, sim_batch=20_000)
-    res = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+    res = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 2.5, (2.0, 4.0),
                                 seed=5, settings=settings, n_sims=20_000)
     assert len(res.metadata["stream_ids"]) == 1
     assert all(np.isfinite(se) and se > 0 for se in res.std_errs)
@@ -194,9 +202,9 @@ def test_double_sum_one_batch_has_finite_errors():
 
 def test_double_sum_worker_invariance():
     settings = ExperimentSettings(domain_T=2.0, sim_batch=5_000)
-    one = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+    one = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 2.5, (2.0, 4.0),
                                 seed=3, settings=settings, n_sims=15_000)
-    two = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.5, (2.0, 4.0),
+    two = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 2.5, (2.0, 4.0),
                                 seed=3, settings=settings, n_sims=15_000,
                                 workers=2)
     assert one == two
@@ -206,7 +214,7 @@ def test_double_sum_independent_blocks_control():
     """With independently simulated blocks the ratio must match the
     binomial value (K - 1) p, a sanity check on the counting identity."""
     settings = ExperimentSettings(domain_T=2.0)
-    res = double_sum_diagnostic(Stationary1D(1.0, 1.0), 2.0, (2.0, 4.0),
+    res = double_sum_diagnostic(StationaryExp1D(1.0, 1.0), 2.0, (2.0, 4.0),
                                 seed=9, settings=settings, n_sims=60_000,
                                 independent_blocks=True)
     for i in range(2):
@@ -216,7 +224,7 @@ def test_double_sum_independent_blocks_control():
 
 
 def test_double_sum_2d():
-    res = double_sum_diagnostic(Stationary2D(1.0, 1.0, 1.0, 1.0), 2.5,
+    res = double_sum_diagnostic(StationaryExp2D(1.0, 1.0, 1.0, 1.0), 2.5,
                                 (1.0, 2.0), seed=11, n_sims=40_000)
     assert res.n_blocks == (36, 9)
     assert res.ratios[0] > res.ratios[1]
@@ -224,7 +232,7 @@ def test_double_sum_2d():
 
 def test_double_sum_2d_rejects_independent_blocks():
     with pytest.raises(ValueError) as exc:
-        double_sum_diagnostic(Stationary2D(1.0, 1.0, 1.0, 1.0), 2.5,
+        double_sum_diagnostic(StationaryExp2D(1.0, 1.0, 1.0, 1.0), 2.5,
                               (1.0, 2.0), seed=11, n_sims=100,
                               independent_blocks=True)
     assert "independent_blocks" in str(exc.value)

@@ -169,16 +169,18 @@ def test_pickands_alpha1_is_one():
 def test_curve_1d_monotone_in_x_both_methods():
     xg = np.array([0.0, 0.25, 0.5, 0.9])
     for method in ("plain", "tilted"):
-        means, ses = berman_curve_1d(2.0, xg, 1.0, n_samples=10_000, seed=6,
-                                     method=method)
+        means, ses, _ = berman_curve_1d(2.0, xg, 1.0, n_samples=10_000,
+                                        seed=6, method=method)
         assert np.all(np.diff(means) <= 1e-12), method
         assert np.all(ses >= 0)
 
 
 def test_curve_1d_tilted_matches_closed_form():
     xg = np.array([0.0, 0.25, 0.5])
-    means, ses = berman_curve_1d(2.0, xg, 1.0, n_samples=60_000, seed=3,
-                                 delta=1.0 / 64, method="tilted")
+    means, ses, streams = berman_curve_1d(2.0, xg, 1.0, n_samples=60_000,
+                                          seed=3, delta=1.0 / 64,
+                                          method="tilted")
+    assert streams == mc.stream_ids(3, 15)  # the 15 chunks drawn
     for j, x in enumerate(xg):
         want = parabola_constant_closed_form(float(x), 1.0)
         assert abs(means[j] - want) < 3 * ses[j], x
@@ -238,8 +240,8 @@ def test_estimate_berman_2d_vanishing():
 
 def test_curve_2d_monotone():
     xg = np.array([0.0, 0.3, 0.8])
-    means, ses = berman_curve_2d(2.0, 2.0, xg, 1.0, 1.0 / 32, n_samples=8_000,
-                                 seed=1)
+    means, ses, _ = berman_curve_2d(2.0, 2.0, xg, 1.0, 1.0 / 32,
+                                    n_samples=8_000, seed=1)
     assert np.all(np.diff(means) <= 1e-12)
 
 

@@ -84,16 +84,21 @@ def test_estimate_constant_plain_writes_table_and_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--family", "bhat", "--alphas", "1.5", "--x", "0.2", "--n1", "2",
-     "--n-samples", "2000", "--seed", "4"],
-    ["--alpha", "1.5", "--x", "0.1", "--n-grid", "129", "--n-samples", "3000",
-     "--chunk-size", "1024", "--refine-check", "--seed", "11"],
+    ["estimate-constant", "--family", "bhat", "--alphas", "1.5", "--x", "0.2",
+     "--n1", "2", "--n-samples", "2000", "--seed", "4"],
+    ["estimate-constant", "--alpha", "1.5", "--x", "0.1", "--n-grid", "129",
+     "--n-samples", "3000", "--chunk-size", "1024", "--refine-check",
+     "--seed", "11"],
+    ["run-experiment", "--u", "2.0", "--x-grid", "0,1,2",
+     "--n-conditioned", "300", "--sim-batch", "5000", "--max-sims", "100000",
+     "--target-samples", "3000", "--seed", "2"],
 ])
 def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
                                                        argv):
     """Each route's stream_ids are the substreams its estimate drew, in draw
-    order: one bhat route drawn once serves both rows, and a refinement
-    pass adds its own substreams."""
+    order: one bhat route drawn once serves both rows, a refinement pass
+    adds its own substreams, and an experiment level lists its rejection
+    generator before its target curve's substreams."""
     drawn = []
     build = mc.generator
 
@@ -103,12 +108,12 @@ def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
 
     monkeypatch.setattr(mc, "generator", recording)
     out = str(tmp_path / "s")
-    assert _run(["estimate-constant"] + argv + ["--out", out]) == 0
+    assert _run(argv + ["--out", out]) == 0
     streams = _read_manifest(out)["stream_ids"]
     assert drawn
     for ids in streams.values():
-        parsed = [(int(seed), (int(k),))
-                  for seed, k in (sid.split(":")[1:] for sid in ids)]
+        parsed = [(int(seed), tuple(map(int, key)))
+                  for seed, *key in (sid.split(":")[1:] for sid in ids)]
         assert parsed == drawn
 
 
@@ -118,6 +123,10 @@ def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
     ["--family", "limit-1d", "--delta", "0"],
     ["--family", "plain-2d", "--n-grid-axis", "1"],
     ["--family", "bhat", "--delta1", "0"],
+    ["--family", "bhat", "--alphas", "1,1", "--n1", "0.01", "--delta1", "0.5"],
+    ["--family", "pickands", "--s-schedule", "0,1,2"],
+    ["--family", "pickands", "--s-schedule=-1,1,2"],
+    ["--family", "bhat", "--alphas", "1,1", "--s-schedule", "0,1,2"],
 ])
 def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "bad")
@@ -126,6 +135,19 @@ def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(os.path.join(out, "constants.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--s-schedule", "0,1,2", "--n-samples", "200"],
+    ["run-experiment", "--family", "queue", "--queue-t", "0.1"],
+])
+def test_config_errors_exit_2(tmp_path, capsys, argv):
+    """Schedules and windows that cannot hold a sample are configuration
+    errors, not numeric failures or crashes."""
+    out = str(tmp_path / "bad")
+    assert _run(argv + ["--seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
 
 
 def test_manifest_replay_is_byte_identical(tmp_path):

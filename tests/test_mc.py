@@ -113,6 +113,14 @@ def test_wilson_interval_endpoints():
     assert mc.wilson_interval(0, 0) == (0.0, 1.0)
 
 
+def test_wilson_interval_contains_its_estimate():
+    """At k = 0 and k = n the ends are exactly 0 and 1, never a rounding
+    error away on the wrong side of k/n."""
+    for n in range(1, 2001):
+        assert mc.wilson_interval(0, n)[0] == 0.0, n
+        assert mc.wilson_interval(n, n)[1] == 1.0, n
+
+
 def test_fit_line_recovers_exact_line():
     xs = np.array([1.0, 2.0, 4.0, 8.0])
     ys = 3.0 - 0.5 * xs
@@ -189,6 +197,8 @@ def test_chunk_is_row_blocks_of_one_substream():
 
 def test_stream_ids_name_sfc64():
     assert all(s.startswith("sfc64:") for s in mc.stream_ids(17, 3))
+    assert mc.stream_ids(17, 2) == [mc.stream_id(17, 0), "sfc64:17:1"]
+    assert mc.stream_id(17) == "sfc64:17"  # generator(17), no spawn key
     assert isinstance(mc.substream(5, 0).bit_generator, np.random.SFC64)
     assert np.array_equal(mc.generator(5).random(3),
                           mc.generator(5).random(3))

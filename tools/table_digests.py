@@ -2,9 +2,10 @@
 
 Runs the README's CLI examples, the manifest-replay configurations of
 acceptance criterion 9, the argv of both benchmark workloads and a few runs
-that reach the remaining path synthesis routes and estimator branches, each
-at a fixed seed, through `sojournlab.cli.main` into a temporary directory. For
-each run it prints one line, `<sha256 of the table>  <argv>`. Two checkouts
+that reach the remaining path synthesis routes, estimator branches and
+experiment families, each at a fixed seed, through `sojournlab.cli.main`
+into a temporary directory. For each run it prints one line,
+`<sha256 of the table>  <argv>`. Two checkouts
 that print the same lines write the same tables byte for byte, so a change
 that should only restructure code is checked by diffing the output:
 
@@ -110,7 +111,20 @@ BRANCHES = [
     "--sim-batch 2000 --max-sims 100000 --target-samples 2000 --seed 18",
 ]
 
-RUNS = README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
+# experiment family routes the runs above miss: the 2-D double sum, the
+# independent-block control and the fixed-window queue target curve
+FAMILIES = [
+    "double-sum --family stationary-2d --u 2.5 --n-schedule 2,4 --n-sims 4000 "
+    "--sim-batch 2000 --domain-t 2 --domain-t2 2 --seed 20",
+    "double-sum --u 2.5 --n-schedule 2,4 --n-sims 4000 --domain-t 2 "
+    "--independent-blocks --seed 21",
+    "run-experiment --family queue --u 2.0 --x-grid 0,0.5,1,2.5 --queue-t 2 "
+    "--n-conditioned 300 --sim-batch 5000 --max-sims 100000 "
+    "--target-samples 3000 --seed 22",
+]
+
+RUNS = (README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
+        + FAMILIES)
 
 
 def table_digest(argv, out):
