@@ -7,21 +7,19 @@ __version__ = "0.1.0"
 
 from .gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D, Queue,
                       SamplePath, ScaledVariance2D, StationaryExp1D,
-                      StationaryExp2D, chi_batch, fbm_batch,
-                      fbm_increment_batch, normal_tail, queue_batch,
-                      simulate_fbm, sliding_max, stationary2d_batch,
-                      stationary_batch, w_field_batch)
+                      StationaryExp2D, chi_batch, fbm_batch, normal_tail,
+                      queue_batch, simulate_fbm, sliding_max,
+                      stationary2d_batch, stationary_batch, w_field_batch)
 from .sojourn import (LevelResult, batch_levels, batch_levels_in_place,
                       level_for_sojourn, level_rank, reduction_quadrature)
-from .mc import (DEFAULT_CHUNK, LineFit, NumericFailure, chunked_mean,
-                 derive_seed, fit_line, generator, stream_ids, substream,
+from .mc import (DEFAULT_CHUNK, ConfigError, LineFit, NumericFailure,
+                 chunked_mean, derive_seed, fit_line, generator, stream_ids,
                  wilson_interval)
 from .berman import (DEFAULT_LIMIT_SCHEDULE, ConstantEstimate,
                      berman_curve_1d, berman_curve_2d,
                      brownian_sup_oracle, estimate_berman_1d,
                      estimate_berman_1d_limit, estimate_berman_2d,
-                     estimate_bhat, estimate_pickands,
-                     parabola_constant_closed_form)
+                     estimate_bhat, parabola_constant_closed_form)
 from .asymptotics import (DoubleSumResult, ExperimentResult,
                           ExperimentSettings, QueueAsymptotics,
                           conditional_sojourn_cdf, double_sum_diagnostic,

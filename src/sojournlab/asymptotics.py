@@ -76,7 +76,7 @@ def scaling_function(family, u):
     """Volume scale v(u) of the conditional sojourn limit for the family's
     gaussim spec."""
     if u <= 0:
-        raise ValueError("u must be > 0")
+        raise mc.ConfigError("u must be > 0")
     if isinstance(family, Queue):
         # (sqrt(2) tau^alpha / (1 + c tau))^(2/alpha), with the sqrt pulled
         # out so clean cases (alpha = c = 1 gives exactly 1/2) stay exact
@@ -109,21 +109,21 @@ class ExperimentSettings:
 
     def __post_init__(self):
         if self.domain_T <= 0 or self.domain_T2 <= 0:
-            raise ValueError("domain sides must be > 0")
+            raise mc.ConfigError("domain sides must be > 0")
         if self.points_per_v < 2:
-            raise ValueError("points_per_v must be >= 2")
+            raise mc.ConfigError("points_per_v must be >= 2")
         if self.sim_batch < 1 or self.max_sims < self.sim_batch:
-            raise ValueError("need 1 <= sim_batch <= max_sims")
+            raise mc.ConfigError("need 1 <= sim_batch <= max_sims")
         if self.target_S <= 0 or self.target_S_2d <= 0:
-            raise ValueError("target domains must be > 0")
+            raise mc.ConfigError("target domains must be > 0")
         if self.queue_T is not None and \
                 self.queue_T - 1.0 / self.points_per_v - 1e-12 <= 0:
             # conditional_sojourn_cdf drops every x within one grid step of
             # the window end, which would drop x = 0 too
-            raise ValueError("queue_T must exceed one grid step "
+            raise mc.ConfigError("queue_T must exceed one grid step "
                              "1/points_per_v when given")
         if self.queue_M <= 0:
-            raise ValueError("queue_M must be > 0")
+            raise mc.ConfigError("queue_M must be > 0")
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ class ExperimentResult:
 def _check_x_grid(x_grid):
     xg = [float(x) for x in x_grid]
     if not xg or xg[0] != 0.0:
-        raise ValueError("x_grid must start at 0 (the ratio there anchors to 1)")
+        raise mc.ConfigError("x_grid must start at 0 (the ratio there anchors to 1)")
     if any(b <= a for a, b in zip(xg, xg[1:])):
-        raise ValueError("x_grid must be strictly increasing")
+        raise mc.ConfigError("x_grid must be strictly increasing")
     return xg
 
 
@@ -179,9 +179,9 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
     """
     xg = _check_x_grid(x_grid)
     if u <= 0:
-        raise ValueError("u must be > 0")
+        raise mc.ConfigError("u must be > 0")
     if n_target_conditioned < 1:
-        raise ValueError("n_target_conditioned must be >= 1")
+        raise mc.ConfigError("n_target_conditioned must be >= 1")
     t0 = time.perf_counter()
     v_u = scaling_function(family, u)
     rejection_seed = mc.derive_seed(seed, 0xE)
@@ -384,13 +384,13 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
         raise TypeError("double-sum diagnostic expects a stationary 1D or 2D "
                         "family")
     if independent_blocks and isinstance(family, StationaryExp2D):
-        raise ValueError("independent_blocks is available for the stationary "
+        raise mc.ConfigError("independent_blocks is available for the stationary "
                          "1D family only")
     sched = [float(n) for n in n_schedule]
     if not sched or any(n <= 0 for n in sched):
-        raise ValueError("n_schedule must be positive")
+        raise mc.ConfigError("n_schedule must be positive")
     if u <= 0:
-        raise ValueError("u must be > 0")
+        raise mc.ConfigError("u must be > 0")
     ppv = settings.points_per_v
 
     deltas = [e / ppv for e in _axis_scales(family, u)]
@@ -399,9 +399,12 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     widths, n_blocks = [], []
     for n in sched:
         w = int(round(n * ppv))
+        if w < 1:
+            raise mc.ConfigError(f"block size n={n:g} rounds to 0 cells at "
+                                 f"{ppv} points per unit; raise n")
         k = math.prod(c // w for c in cells)
         if k < 2:
-            raise ValueError(
+            raise mc.ConfigError(
                 f"block size n={n:g} gives {k} block(s) on a domain of "
                 f"{'x'.join(map(str, cells))} cells; the diagnostic needs at "
                 "least 2")
@@ -497,7 +500,7 @@ def queue_asymptotics(alpha, c, u):
     """
     spec = Queue(alpha, c)
     if u <= 0:
-        raise ValueError("u must be > 0")
+        raise mc.ConfigError("u must be > 0")
     tau = spec.tau_star
     m_u = (1.0 + c * tau) / tau ** (alpha / 2.0) * u ** (1.0 - alpha / 2.0)
     A = tau ** (-alpha / 2.0) * 2.0 / (2.0 - alpha)
@@ -516,7 +519,7 @@ def queue_prefactor(alpha, c, u, n, x, bhat):
     sqrt(pi) factor comes with the curvature integral of the Laplace step.
     """
     if n <= x:
-        raise ValueError("requires n > x (the window must exceed the sojourn)")
+        raise mc.ConfigError("requires n > x (the window must exceed the sojourn)")
     qa = queue_asymptotics(alpha, c, u)
     value = bhat.value if hasattr(bhat, "value") else float(bhat)
     v_u = qa.q_u * u
@@ -536,7 +539,7 @@ def queue_window_exceed_mc(u, c, n, n_paths=200_000, seed=0, *,
     """
     spec = Queue(1.0, c)
     if u <= 0 or n <= 0:
-        raise ValueError("u and n must be > 0")
+        raise mc.ConfigError("u and n must be > 0")
     w = scaling_function(spec, u) * n
     N = max(int(round(w / delta)), 1)
     params = {"u": u, "c": c, "N": N, "d": w / N}

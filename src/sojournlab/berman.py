@@ -134,9 +134,9 @@ def berman2_parabola_oracle(x, S, quadrature_order=200):
     used against it.
     """
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise mc.ConfigError("x must be >= 0")
     if quadrature_order < 10:
-        raise ValueError("quadrature_order too small to mean anything")
+        raise mc.ConfigError("quadrature_order too small to mean anything")
     if x >= S:
         return 0.0
     y, w = roots_hermite(int(quadrature_order))
@@ -153,7 +153,7 @@ def brownian_sup_oracle(S):
     numerically integrated tail integral.
     """
     if S <= 0:
-        raise ValueError("S must be > 0")
+        raise mc.ConfigError("S must be > 0")
     c = math.sqrt(2.0 * S)
 
     def tail(m):
@@ -332,23 +332,23 @@ def estimate_berman_1d(alpha, drift=DriftSpec(), x=0.0, interval=(0.0, 1.0),
     lo, hi = float(interval[0]), float(interval[1])
     length = hi - lo
     if length <= 0:
-        raise ValueError("interval must have positive length")
+        raise mc.ConfigError("interval must have positive length")
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise mc.ConfigError("x must be >= 0")
     if not lo <= 0.0 <= hi:
-        raise ValueError("interval must contain 0 (path pinned at the origin)")
+        raise mc.ConfigError("interval must contain 0 (path pinned at the origin)")
     if n_grid < 2:
-        raise ValueError("n_grid must be >= 2")
+        raise mc.ConfigError("n_grid must be >= 2")
     step = length / (n_grid - 1)
     if x >= length:
         return ConstantEstimate(0.0, 0.0, 0, step, (lo, hi), 1.0, seed,
                                 method="plain", flags=("vanishing-by-bound",),
                                 metadata={"stream_ids": []})
     if n_samples < 100:
-        raise ValueError("n_samples < 100 gives no meaningful standard error")
+        raise mc.ConfigError("n_samples < 100 gives no meaningful standard error")
     t = np.linspace(lo, hi, n_grid)
     if abs(t[np.argmin(np.abs(t))]) > 1e-9 * max(abs(lo), abs(hi)):
-        raise ValueError("grid does not hit 0 exactly; adjust n_grid")
+        raise mc.ConfigError("grid does not hit 0 exactly; adjust n_grid")
     params = {"alpha": float(alpha), "drift": drift, "t": t, "x": float(x)}
     mean, se, n_chunks = mc.chunked_mean(_w1d_kernel, n_samples, seed, params,
                                          chunk_size=chunk_size,
@@ -386,9 +386,9 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
     """
     sched = [float(S) for S in S_schedule]
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("S_schedule must be increasing with at least 3 entries")
+        raise mc.ConfigError("S_schedule must be increasing with at least 3 entries")
     if sched[0] <= 0:
-        raise ValueError("S_schedule entries must be > 0")
+        raise mc.ConfigError("S_schedule entries must be > 0")
     vals, ses, streams = [], [], []
     for i, S in enumerate(sched):
         sub = mc.derive_seed(seed, i)
@@ -428,13 +428,6 @@ def estimate_berman_1d_limit(alpha, x=0.0, S_schedule=DEFAULT_LIMIT_SCHEDULE,
                                       "stream_ids": streams})
 
 
-def estimate_pickands(alpha, S_schedule=DEFAULT_LIMIT_SCHEDULE,
-                      n_samples=100_000, seed=0, **kwargs):
-    """Pickands constant H_alpha, the x = 0 case of the long-run constant."""
-    return estimate_berman_1d_limit(alpha, 0.0, S_schedule, n_samples, seed,
-                                    **kwargs)
-
-
 def berman_curve_1d(alpha, x_grid, S, n_samples=100_000, seed=0, *,
                     delta=1.0 / 64, method="plain", workers=1,
                     chunk_size=mc.DEFAULT_CHUNK):
@@ -449,7 +442,7 @@ def berman_curve_1d(alpha, x_grid, S, n_samples=100_000, seed=0, *,
     """
     xg = tuple(float(x) for x in x_grid)
     if any(x < 0 for x in xg):
-        raise ValueError("x grid must be nonnegative")
+        raise mc.ConfigError("x grid must be nonnegative")
     kernel, params = _kernel_1d(method, alpha, xg, S, delta)
     means, ses, n_chunks = mc.chunked_mean(kernel, n_samples, seed, params,
                                            width=len(xg),
@@ -462,15 +455,19 @@ def _kernel_1d(method, alpha, x, S, delta):
     """(kernel, params) for B_alpha(x, [0,S]) at step delta: plain averaging
     on the grid of [0, S], or the shift-randomized kernel."""
     if delta <= 0:
-        raise ValueError("delta must be > 0")
+        raise mc.ConfigError("delta must be > 0")
+    n_cells = int(round(S / delta))
+    if n_cells < 1:
+        raise mc.ConfigError(f"S / delta = {S / delta:g} rounds to 0 grid "
+                             "cells; lower delta")
     if method == "plain":
-        t = np.linspace(0.0, float(S), int(round(S / delta)) + 1)
+        t = np.linspace(0.0, float(S), n_cells + 1)
         return _w1d_kernel, {"alpha": float(alpha), "drift": DriftSpec(),
                              "t": t, "x": x}
     if method == "tilted":
         return _tilted_kernel, {"alpha": float(alpha), "S": float(S),
                                 "delta": float(delta), "x": x}
-    raise ValueError("method must be 'plain' or 'tilted'")
+    raise mc.ConfigError("method must be 'plain' or 'tilted'")
 
 
 def estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
@@ -485,9 +482,9 @@ def estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
     over that domain divided by the normalization.
     """
     if S <= 0:
-        raise ValueError("S must be > 0")
+        raise mc.ConfigError("S must be > 0")
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise mc.ConfigError("x must be >= 0")
     domain = _w2d_domain(S, alpha1, alpha2, drift1, drift2)
     params = _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis,
                          float(x))
@@ -501,7 +498,7 @@ def estimate_berman_2d(alpha1, alpha2, drift1, drift2, x, S,
                                 flags=("vanishing-by-bound",),
                                 metadata={"stream_ids": []})
     if n_samples < 100:
-        raise ValueError("n_samples < 100 gives no meaningful standard error")
+        raise mc.ConfigError("n_samples < 100 gives no meaningful standard error")
     mean, se, n_chunks = mc.chunked_mean(_w2d_kernel, n_samples, seed, params,
                                          chunk_size=chunk_size,
                                          workers=workers)
@@ -543,7 +540,7 @@ def _w2d_domain(S, alpha1, alpha2, drift1, drift2):
 def _w2d_params(alpha1, alpha2, drift1, drift2, domain, n_grid_axis, x):
     """_w2d_kernel params: per axis its grid, exponent and drift."""
     if n_grid_axis < 2:
-        raise ValueError("n_grid_axis must be >= 2")
+        raise mc.ConfigError("n_grid_axis must be >= 2")
     axes = []
     for (lo, hi), alpha, drift in zip(domain, (alpha1, alpha2),
                                       (drift1, drift2)):
@@ -572,16 +569,16 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
     """
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
-        raise ValueError("need at least one alpha")
+        raise mc.ConfigError("need at least one alpha")
     if any(not 0.0 < a <= 2.0 for a in alphas):
-        raise ValueError("alphas must lie in (0, 2]")
+        raise mc.ConfigError("alphas must lie in (0, 2]")
     if not 0.0 <= x < n1:
-        raise ValueError("requires 0 <= x < n1 (constant vanishes otherwise)")
+        raise mc.ConfigError("requires 0 <= x < n1 (constant vanishes otherwise)")
     if delta1 <= 0 or delta_rest <= 0:
-        raise ValueError("delta1 and delta_rest must be > 0")
+        raise mc.ConfigError("delta1 and delta_rest must be > 0")
     n_grid1 = int(round(n1 / delta1)) + 1
     if n_grid1 < 2:
-        raise ValueError(f"n1 / delta1 = {n1 / delta1:g} rounds to 0 grid "
+        raise mc.ConfigError(f"n1 / delta1 = {n1 / delta1:g} rounds to 0 grid "
                          "steps; lower delta1")
 
     if len(alphas) == 1:
@@ -592,9 +589,9 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
 
     sched = [float(n) for n in n_rest_schedule]
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("n_rest_schedule must be increasing with >= 3 entries")
+        raise mc.ConfigError("n_rest_schedule must be increasing with >= 3 entries")
     if sched[0] <= 0:
-        raise ValueError("n_rest_schedule entries must be > 0")
+        raise mc.ConfigError("n_rest_schedule entries must be > 0")
     rest = alphas[1:]
     power = len(rest)
     ys, yses, raw, streams = [], [], [], []
@@ -611,6 +608,11 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
         ys.append(v / nr ** power)
         yses.append(se / nr ** power)
     fit = mc.fit_line([1.0 / nr for nr in sched], ys, yses)
+    if fit.intercept < 0:
+        raise mc.NumericFailure(
+            f"extrapolated intercept {fit.intercept:.6g} +- "
+            f"{fit.intercept_se:.2g} is negative; raise n_samples or "
+            "lengthen the n_rest schedule")
     direct = ConstantEstimate(fit.intercept, fit.intercept_se,
                               n_samples * len(sched), delta1,
                               (0.0, float(n1)), 1.0, seed,
@@ -621,9 +623,11 @@ def estimate_bhat(alphas, x, n1, n_rest_schedule=DEFAULT_LIMIT_SCHEDULE,
 
     hs = []
     for i, a in enumerate(rest):
-        hs.append(estimate_pickands(a, n_samples=n_samples,
-                                    seed=mc.derive_seed(seed, 100 + i),
-                                    workers=workers, chunk_size=chunk_size))
+        hs.append(estimate_berman_1d_limit(a, 0.0, DEFAULT_LIMIT_SCHEDULE,
+                                           n_samples,
+                                           mc.derive_seed(seed, 100 + i),
+                                           workers=workers,
+                                           chunk_size=chunk_size))
     b1 = estimate_berman_1d(alphas[0], DriftSpec(), x, (0.0, n1), n_grid1,
                             n_samples, mc.derive_seed(seed, 200),
                             workers=workers, chunk_size=chunk_size)

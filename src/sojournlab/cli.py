@@ -3,7 +3,10 @@
 Every run resolves its options from four layers (defaults, then a JSON
 config file, then SOJOURNLAB_* environment variables, then explicit flags),
 writes one CSV table plus a run manifest into the output directory, and
-exits 0 on success, 2 on configuration errors, 3 on numeric failures.
+exits 0 on success, 2 on a configuration error (`mc.ConfigError`: a setting
+that cannot run, such as a non-finite number), 3 on a numeric failure
+(`mc.NumericFailure`). Any other exception is an internal error: it
+propagates with its traceback, and the console script exits 1.
 A recorded manifest can be replayed with --from-manifest; everything the
 rerun writes is byte-identical except the manifest's wall_time_s field,
 and the worker count never changes any output byte.
@@ -12,12 +15,14 @@ and the worker count never changes any output byte.
 import argparse
 import csv
 import json
+import math
 import os
 import secrets
 import sys
 import time
 
 from . import __version__, mc
+from .mc import ConfigError
 from .asymptotics import (ExperimentSettings, conditional_sojourn_cdf,
                           double_sum_diagnostic)
 from .berman import (brownian_sup_oracle, estimate_berman_1d,
@@ -29,10 +34,6 @@ from .gaussim import (Chi, DriftSpec, Queue, ScaledVariance2D,
 ENV_PREFIX = "SOJOURNLAB_"
 MANIFEST_SCHEMA = "sojournlab-manifest-v1"
 MANIFEST_NAME = "run_manifest.json"
-
-
-class ConfigError(Exception):
-    pass
 
 
 class Opt:
@@ -55,14 +56,23 @@ class Opt:
                                 choices=self.choices,
                                 default=argparse.SUPPRESS, help=self.help)
 
-    def coerce(self, raw):
+    def coerce(self, raw, source):
+        """raw as this option's value; a ConfigError names the source of a
+        value that does not convert, is not finite or is not a choice."""
         if self.typ is bool:
             if isinstance(raw, bool):
                 return raw
             return str(raw).strip().lower() in ("1", "true", "yes", "on")
-        if raw is None:
+        if raw is None and self.default is None:
             return None
-        return self.typ(raw)
+        try:
+            val = self.typ(raw)
+        except (TypeError, ValueError):
+            val = None
+        if val is None or self.typ is float and not math.isfinite(val) \
+                or self.choices and val not in self.choices:
+            raise ConfigError(f"bad value {raw!r} for {source}")
+        return val
 
 
 SEMANTIC_GLOBALS = [
@@ -176,6 +186,8 @@ def _floats(text):
         raise ConfigError(f"expected a comma-separated number list, got {text!r}")
     if not vals:
         raise ConfigError(f"empty number list {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"non-finite number in {text!r}")
     return vals
 
 
@@ -235,15 +247,13 @@ def _run_estimate_constant(cfg, workers):
                                  x, cfg["rule_s"], n_samples=n, seed=seed,
                                  n_grid_axis=cfg["n_grid_axis"], **run)
         routes = [("plain-2d", est, cfg["rule_s"])]
-    elif fam == "bhat":
+    else:  # bhat
         direct, product = estimate_bhat(_floats(cfg["alphas"]), x, cfg["n1"],
                                         tuple(_floats(cfg["s_schedule"])), n,
                                         seed, delta1=cfg["delta1"],
                                         delta_rest=cfg["delta_rest"], **run)
         routes = [("direct", direct, cfg["n1"]),
                   ("product", product, cfg["n1"])]
-    else:
-        raise ConfigError(f"unknown estimate-constant family {fam!r}")
     header = ("route", "x", "value", "std_err", "S", "delta", "flags")
     rows = [(route, x, est.value, est.std_err, S, est.grid_step,
              ";".join(est.flags)) for route, est, S in routes]
@@ -263,9 +273,7 @@ def _experiment_family(cfg):
                                cfg["alpha2"])
         return base if fam == "stationary-2d" else ScaledVariance2D(
             base, cfg["b1"], cfg["b2"], cfg["beta1"], cfg["beta2"])
-    if fam == "queue":
-        return Queue(cfg["alpha"], cfg["c"])
-    raise ConfigError(f"unknown experiment family {fam!r}")
+    return Queue(cfg["alpha"], cfg["c"])
 
 
 def _experiment_settings(cfg):
@@ -333,12 +341,10 @@ def _run_oracle(cfg, workers):
         rows = [(x, S, parabola_constant_closed_form(x, S))
                 for S in _floats(cfg["s"]) for x in _floats(cfg["x"])]
         return header, rows, [], {}
-    if fam == "brownian-sup":
-        if any(x != 0.0 for x in _floats(cfg["x"])):
-            raise ConfigError("the brownian-sup oracle covers x = 0 only")
-        rows = [(0.0, S, brownian_sup_oracle(S)) for S in _floats(cfg["s"])]
-        return header, rows, [], {}
-    raise ConfigError(f"unknown oracle family {fam!r}")
+    if any(x != 0.0 for x in _floats(cfg["x"])):  # brownian-sup
+        raise ConfigError("the brownian-sup oracle covers x = 0 only")
+    rows = [(0.0, S, brownian_sup_oracle(S)) for S in _floats(cfg["s"])]
+    return header, rows, [], {}
 
 
 def _run_convergence(cfg, workers):
@@ -380,9 +386,6 @@ def build_parser():
                         help="JSON file with option defaults")
         sp.add_argument("--from-manifest", default=None,
                         help="replay the configuration of a recorded manifest")
-        sp.add_argument("--seed", dest="seed", type=int,
-                        default=argparse.SUPPRESS,
-                        help="base RNG seed; drawn and recorded if omitted")
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Monte Carlo chunks of "
                              "estimate-constant, convergence, double-sum and "
@@ -390,7 +393,7 @@ def build_parser():
                              "oracle")
         sp.add_argument("--out", default="sojournlab-out",
                         help="output directory")
-        for opt in opts:
+        for opt in SEMANTIC_GLOBALS + opts:
             opt.add_to(sp)
     return parser
 
@@ -409,10 +412,11 @@ def resolve_config(sub, ns):
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read manifest: {e}")
-        if manifest.get("subcommand") != sub:
+        recorded = manifest.get("subcommand") \
+            if isinstance(manifest, dict) else None
+        if recorded != sub:
             raise ConfigError(
-                f"manifest records subcommand {manifest.get('subcommand')!r}, "
-                f"not {sub!r}")
+                f"manifest records subcommand {recorded!r}, not {sub!r}")
         file_layer = manifest.get("config", {})
     elif ns.config:
         try:
@@ -420,28 +424,25 @@ def resolve_config(sub, ns):
                 file_layer = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}")
-        if not isinstance(file_layer, dict):
-            raise ConfigError("config file must hold a JSON object")
+    if not isinstance(file_layer, dict):
+        raise ConfigError("the configuration must be a JSON object")
     for key, val in file_layer.items():
         if key not in opts:
             raise ConfigError(f"unknown config key {key!r} for {sub}")
-        cfg[key] = opts[key].coerce(val)
+        cfg[key] = opts[key].coerce(val, f"config key {key!r}")
 
     for dest, opt in opts.items():
         raw = os.environ.get(ENV_PREFIX + dest.upper())
         if raw is not None:
-            try:
-                cfg[dest] = opt.coerce(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"bad value {raw!r} for {ENV_PREFIX + dest.upper()}")
-
-    for dest in opts:
+            cfg[dest] = opt.coerce(raw, ENV_PREFIX + dest.upper())
         if hasattr(ns, dest):
-            cfg[dest] = getattr(ns, dest)
+            cfg[dest] = opt.coerce(getattr(ns, dest),
+                                   "--" + dest.replace("_", "-"))
 
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         cfg["seed"] = secrets.randbits(63)
+    elif cfg["seed"] < 0:
+        raise ConfigError(f"the seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -454,7 +455,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         header, rows, flags, streams = RUNNERS[sub](cfg, ns.workers)
         elapsed = time.perf_counter() - t0
-    except (ConfigError, ValueError, TypeError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except mc.NumericFailure as e:

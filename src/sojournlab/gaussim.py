@@ -28,11 +28,12 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .mc import ROW_BLOCK, NumericFailure, _scratch, generator
+from .mc import ROW_BLOCK, ConfigError, NumericFailure, _scratch, generator
 
 EIG_CLIP_REL = 1e-9          # clip threshold relative to the largest eigenvalue
 _PAD_FACTORS = (1, 2, 4, 8)  # embedding torus enlargements tried in order
 NORMAL_BLOCK_BYTES = 4 << 20  # reused buffer the spectrum normals pass through
+QUEUE_LOOKAHEAD = 5.0        # queue_batch lookahead, in units of tau_star * u
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +48,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.end > self.start:
-            raise ValueError("GridSpec requires end > start")
+            raise ConfigError("GridSpec requires end > start")
         if self.n_points < 2:
-            raise ValueError("GridSpec requires n_points >= 2")
+            raise ConfigError("GridSpec requires n_points >= 2")
 
     @property
     def step(self):
@@ -87,9 +88,9 @@ class DriftSpec:
 
     def __post_init__(self):
         if self.b < 0:
-            raise ValueError("drift coefficient b must be >= 0")
+            raise ConfigError("drift coefficient b must be >= 0")
         if self.beta <= 0:
-            raise ValueError("drift exponent beta must be > 0")
+            raise ConfigError("drift exponent beta must be > 0")
 
     def h(self, t):
         if self.b == 0.0:
@@ -112,7 +113,7 @@ class FbmW:
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 2.0):
-            raise ValueError("alpha must lie in [0, 2]")
+            raise ConfigError("alpha must lie in [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ class StationaryExp1D:
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError("a must be > 0")
+            raise ConfigError("a must be > 0")
         if not (0.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (0, 2]")
+            raise ConfigError("alpha must lie in (0, 2]")
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,9 @@ class StationaryExp2D:
     def __post_init__(self):
         for a, al in ((self.a1, self.alpha1), (self.a2, self.alpha2)):
             if a <= 0:
-                raise ValueError("a_i must be > 0")
+                raise ConfigError("a_i must be > 0")
             if not (0.0 < al <= 2.0):
-                raise ValueError("alpha_i must lie in (0, 2]")
+                raise ConfigError("alpha_i must lie in (0, 2]")
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,9 @@ class ScaledVariance2D:
 
     def __post_init__(self):
         if self.b1 <= 0 or self.b2 <= 0:
-            raise ValueError("b_i must be > 0")
+            raise ConfigError("b_i must be > 0")
         if self.beta1 <= 0 or self.beta2 <= 0:
-            raise ValueError("beta_i must be > 0")
+            raise ConfigError("beta_i must be > 0")
 
     def sigma(self, t1, t2):
         return np.exp(-self.b1 * np.abs(t1) ** self.beta1
@@ -172,30 +173,25 @@ class Chi:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("degree m must be >= 1")
+            raise ConfigError("degree m must be >= 1")
 
 
 @dataclass(frozen=True)
 class Queue:
     """Reflected fBm with drift: Q(t) = sup_{s>=t}(B(s) - B(t) - c(s-t)).
 
-    The generator looks ahead H = horizon_mult * tau_star * u_ref beyond the
-    requested grid; the optimal exceedance lookahead at level u is about
-    tau_star * u, so u_ref should be the largest level of interest. Truncation
-    bias is one sided (Q is underestimated).
+    The optimal exceedance lookahead at level u is about tau_star * u, and
+    queue_batch looks QUEUE_LOOKAHEAD times as far beyond the requested
+    grid. Truncation bias is one sided (Q is underestimated).
     """
     alpha: float
     c: float
-    horizon_mult: float = 5.0
-    u_ref: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
-            raise ValueError("Queue requires alpha in (0, 2)")
+            raise ConfigError("Queue requires alpha in (0, 2)")
         if self.c <= 0:
-            raise ValueError("service rate c must be > 0")
-        if self.horizon_mult <= 0 or self.u_ref <= 0:
-            raise ValueError("horizon_mult and u_ref must be > 0")
+            raise ConfigError("service rate c must be > 0")
 
     @property
     def tau_star(self):
@@ -260,15 +256,6 @@ def _fgn_eigs(alpha, n_steps):
     return ok
 
 
-def fbm_increment_batch(rng, m, alpha, n_steps, delta):
-    """(m, n_steps) exact fBm increments over steps of length delta."""
-    if alpha == 2.0:
-        xi = rng.standard_normal(m)
-        return (delta * xi)[:, None] * np.ones((1, n_steps))
-    return _circulant_normals(rng, m, _fgn_eigs(alpha, n_steps), n_steps,
-                              delta ** (alpha / 2.0))
-
-
 def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
     """(m, n_steps+1) fBm paths on a uniform grid, pinned to 0 at pin_index.
 
@@ -297,9 +284,9 @@ def simulate_fbm(alpha, grid, seed):
     Cov(B(s), B(t)) = (s^alpha + t^alpha - |t-s|^alpha) / 2 at grid points.
     """
     if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must lie in (0, 2]")
+        raise ConfigError("alpha must lie in (0, 2]")
     if abs(grid.start) > 1e-12:
-        raise ValueError("fBm grids must start at 0 (path pinned at the origin)")
+        raise ConfigError("fBm grids must start at 0 (path pinned at the origin)")
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     values = fbm_batch(rng, 1, alpha, grid.n_points - 1, grid.step)[0]
     return SamplePath(grid, values)
@@ -353,14 +340,14 @@ def stationary2d_batch(rng, m, spec, lattice):
     return (r1 @ g) @ r2.T
 
 
-def queue_batch(rng, m, spec, n_points, delta, u_ref=None):
+def queue_batch(rng, m, spec, n_points, delta, u_ref):
     """(m, n_points) stationary queue paths Q(t_i) on a grid of step delta.
 
     Q(t_i) = max over grid s in [t_i, t_i + H] of (B(s) - B(t_i) - c (s - t_i))
-    with lookahead H = horizon_mult * tau_star * max(u_ref, spec.u_ref).
+    with lookahead H = QUEUE_LOOKAHEAD * tau_star * max(u_ref, 1); u_ref
+    should be the largest level of interest.
     """
-    uref = spec.u_ref if u_ref is None else max(u_ref, spec.u_ref)
-    H = spec.horizon_mult * spec.tau_star * uref
+    H = QUEUE_LOOKAHEAD * spec.tau_star * max(u_ref, 1.0)
     w = max(int(math.ceil(H / delta)), 1)
     total_steps = (n_points - 1) + w
     y = fbm_batch(rng, m, spec.alpha, total_steps, delta)

@@ -1,8 +1,8 @@
 """Chunked deterministic Monte Carlo plumbing.
 
 Every estimator in this package draws randomness through `generator`, the
-package's one bit generator: SFC64 seeded through a `SeedSequence`, with
-`substream` keying it by (seed, chunk index). Work is split into fixed-size
+package's one bit generator: SFC64 seeded through a `SeedSequence`, keyed by
+(seed, chunk index) for a chunk's substream. Work is split into fixed-size
 chunks and chunk results are reduced in index order, so a run is bitwise
 reproducible for a given (seed, chunk_size) no matter how many workers
 execute the chunks.
@@ -19,6 +19,11 @@ Samples are iid, so the standard error of a mean is the per-sample
 standard deviation (ddof=1, pooled over all chunks) over sqrt(n): it is
 valid for a single chunk and has n - 1 degrees of freedom whatever the
 chunk size.
+
+Two exceptions mark a run that cannot finish: `ConfigError` for a setting
+the caller chose that cannot run (every argument check in the package raises
+it), and `NumericFailure` for a valid setting whose numbers gave out. Any
+other exception is a fault of the package itself.
 """
 
 from collections import namedtuple
@@ -36,6 +41,10 @@ ROW_BLOCK = 64  # rows per kernel call inside a chunk; part of the stream
 _workspace = contextvars.ContextVar("chunk_workspace", default=None)
 
 
+class ConfigError(ValueError):
+    """Raised when a setting the caller chose cannot run."""
+
+
 class NumericFailure(RuntimeError):
     """Raised when a computation cannot proceed for numerical reasons."""
 
@@ -45,11 +54,6 @@ def generator(seed, *spawn_key):
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(k) for k in spawn_key))
     return np.random.Generator(np.random.SFC64(ss))
-
-
-def substream(seed, chunk_index):
-    """Independent generator for one chunk of one run."""
-    return generator(seed, chunk_index)
 
 
 def stream_id(seed, *spawn_key):
@@ -86,7 +90,7 @@ def _scratch(name, shape, dtype=float):
 
 
 def _run_chunk(kernel, seed, chunk_index, chunk_n, params, width=None):
-    rng = substream(seed, chunk_index)
+    rng = generator(seed, chunk_index)
     tail = () if width is None else (int(width),)
     out = np.empty((chunk_n,) + tail)
     token = _workspace.set({})
@@ -117,9 +121,9 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     """
     n_samples = int(n_samples)
     if n_samples < 2:
-        raise ValueError("n_samples must be >= 2 for a standard error")
+        raise ConfigError("n_samples must be >= 2 for a standard error")
     if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+        raise ConfigError("chunk_size must be >= 1")
     sizes = [chunk_size] * (n_samples // chunk_size)
     rem = n_samples % chunk_size
     if rem:

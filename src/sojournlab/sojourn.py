@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussim import SamplePath
+from .mc import ConfigError
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def level_rank(x, step):
     step: the rank must not jump early on x/step = k - 1e-16.
     """
     if x < 0:
-        raise ValueError("sojourn bound x must be >= 0")
+        raise ConfigError("sojourn bound x must be >= 0")
     return int(np.floor(x / step + 1e-9)) + 1
 
 

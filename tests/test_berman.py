@@ -11,7 +11,6 @@ from sojournlab.berman import (ConstantEstimate, _tilted_kernel,
                                berman_curve_2d, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
                                estimate_berman_2d, estimate_bhat,
-                               estimate_pickands,
                                parabola_constant_closed_form)
 from sojournlab.gaussim import DriftSpec, FbmW, fbm_batch, w_field_batch
 from sojournlab.sojourn import batch_levels
@@ -161,7 +160,7 @@ def test_limit_plain_vanishing_entry_draws_nothing(x):
 
 
 def test_pickands_alpha1_is_one():
-    est = estimate_pickands(1.0, n_samples=15_000, seed=4)
+    est = estimate_berman_1d_limit(1.0, 0.0, n_samples=15_000, seed=4)
     assert abs(est.value - 1.0) < 0.05
     assert est.value > 0
 
@@ -295,7 +294,7 @@ def _chunk_outputs(kernel, n, seed, params, width=None):
 
 def _blockwise(kernel, n, seed, params):
     """The same chunk's blocks, computed outside any chunk workspace."""
-    rng = mc.substream(seed, 0)
+    rng = mc.generator(seed, 0)
     return np.concatenate([kernel(rng, min(mc.ROW_BLOCK, n - i), params)
                            for i in range(0, n, mc.ROW_BLOCK)])
 

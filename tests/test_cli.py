@@ -127,6 +127,10 @@ def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
     ["--family", "pickands", "--s-schedule", "0,1,2"],
     ["--family", "pickands", "--s-schedule=-1,1,2"],
     ["--family", "bhat", "--alphas", "1,1", "--s-schedule", "0,1,2"],
+    ["--x", "inf"],
+    ["--family", "plain-2d", "--rule-s", "nan"],
+    ["--family", "limit-1d", "--delta", "100", "--s-schedule", "1,2,3",
+     "--x", "0.5"],
 ])
 def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "bad")
@@ -140,10 +144,18 @@ def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["convergence", "--s-schedule", "0,1,2", "--n-samples", "200"],
     ["run-experiment", "--family", "queue", "--queue-t", "0.1"],
+    ["oracle", "--family", "parabola-sojourn", "--x", "nan", "--s", "1"],
+    ["oracle", "--family", "parabola-sojourn", "--x", "0", "--s", "inf"],
+    ["run-experiment", "--u", "nan"],
+    ["run-experiment", "--x-grid", "0,nan"],
+    ["double-sum", "--u", "3", "--n-schedule", "0.01", "--n-sims", "200"],
+    ["run-experiment", "--u", "2.5", "--x-grid", "0,1", "--target-s", "0.01",
+     "--n-conditioned", "50", "--target-samples", "200"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
-    """Schedules and windows that cannot hold a sample are configuration
-    errors, not numeric failures or crashes."""
+    """Schedules, windows and blocks that cannot hold a sample, and numbers
+    that are not finite, are configuration errors, not numeric failures,
+    crashes or nan cells."""
     out = str(tmp_path / "bad")
     assert _run(argv + ["--seed", "1", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -183,6 +195,19 @@ def test_manifest_subcommand_mismatch(tmp_path, capsys):
     assert "records subcommand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest", [
+    [1], {"subcommand": "oracle", "config": [1]},
+    {"subcommand": "oracle", "config": {"s": "0,inf"}},
+])
+def test_malformed_manifest_exit_2(tmp_path, capsys, manifest):
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = _run(["oracle", "--from-manifest", str(path),
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_env_flag_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"n_samples": 5000, "seed": 3,
@@ -211,6 +236,23 @@ def test_unknown_config_key(tmp_path, capsys):
                "--out", str(tmp_path / "u")])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer", [
+    {"n_samples": None}, {"n_samples": "abc"}, {"n_samples": [1]},
+    {"x": float("nan")}, {"seed": -1}, {"method": "fast"},
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, layer):
+    """A config file value goes through the same checks as an environment
+    value or a flag, and the error names its key."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(layer))
+    rc = _run(["estimate-constant", "--config", str(cfg_file),
+               "--out", str(tmp_path / "v")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert next(iter(layer)) in err
 
 
 def test_config_and_manifest_are_exclusive(tmp_path, capsys):
@@ -339,3 +381,36 @@ def test_negative_limit_slope_is_a_numeric_failure(tmp_path, monkeypatch,
                "--out", str(tmp_path / "neg")])
     assert rc == 3
     assert "negative" in capsys.readouterr().err
+
+
+def test_negative_bhat_intercept_is_a_numeric_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    """A negative extrapolated intercept on bhat's direct route is Monte
+    Carlo noise in a valid configuration: exit 3, not a configuration
+    error."""
+    fit_line = mc.fit_line
+
+    def negative(xs, ys, ses):
+        return fit_line(xs, ys, ses)._replace(intercept=-0.01)
+
+    monkeypatch.setattr(mc, "fit_line", negative)
+    rc = _run(["estimate-constant", "--family", "bhat", "--alphas", "1,1.5",
+               "--x", "0.5", "--n1", "2", "--n-samples", "200",
+               "--s-schedule", "0.05,0.1,0.15", "--seed", "1",
+               "--out", str(tmp_path / "neg")])
+    assert rc == 3
+    assert "intercept" in capsys.readouterr().err
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    """A ValueError from inside the package is a fault, not a setting: it
+    propagates with its traceback instead of reading as exit 2."""
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "estimate_berman_1d", broken)
+    out = str(tmp_path / "bug")
+    with pytest.raises(ValueError, match="internal fault"):
+        _run(["estimate-constant", "--n-samples", "200", "--seed", "1",
+              "--out", out])
+    assert not os.path.exists(out)

@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sojournlab.gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D,
-                                Queue, SamplePath, ScaledVariance2D,
-                                StationaryExp1D, StationaryExp2D, _axis_root,
-                                _fgn_eigs, _stationary_eigs, chi_batch, fbm_batch,
-                                fbm_increment_batch, normal_tail, queue_batch,
-                                simulate_fbm, sliding_max,
-                                stationary2d_batch, stationary_batch,
-                                w_field_batch)
+from sojournlab.gaussim import (QUEUE_LOOKAHEAD, Chi, DriftSpec, FbmW,
+                                GridSpec, Lattice2D, Queue, SamplePath,
+                                ScaledVariance2D, StationaryExp1D,
+                                StationaryExp2D, _axis_root, _fgn_eigs,
+                                _stationary_eigs, chi_batch, fbm_batch,
+                                normal_tail, queue_batch, simulate_fbm,
+                                sliding_max, stationary2d_batch,
+                                stationary_batch, w_field_batch)
 
 
 def _rng(seed):
@@ -65,7 +65,7 @@ def test_fbm_alpha2_is_a_random_line():
 
 
 def test_fbm_increment_variance():
-    inc = fbm_increment_batch(_rng(11), 40_000, 0.8, 6, 0.25)
+    inc = np.diff(fbm_batch(_rng(11), 40_000, 0.8, 6, 0.25), axis=1)
     assert inc.shape == (40_000, 6)
     v = inc.var(axis=0)
     assert np.max(np.abs(v - 0.25 ** 0.8)) < 0.01
@@ -135,9 +135,10 @@ def test_queue_marginal_tail():
     geometric decay rate survives discretisation, and refining the grid
     moves the level up toward the continuous one.
     """
-    spec = Queue(1.0, 1.0, horizon_mult=8.0)
-    q_coarse = (queue_batch(_rng(29), 60_000, spec, 10, 0.125)[:, 3] > 0.5).mean()
-    fine = queue_batch(_rng(31), 60_000, spec, 10, 1.0 / 64)
+    spec = Queue(1.0, 1.0)  # u_ref=1.6 looks 8 tau_star ahead
+    coarse = queue_batch(_rng(29), 60_000, spec, 10, 0.125, u_ref=1.6)
+    q_coarse = (coarse[:, 3] > 0.5).mean()
+    fine = queue_batch(_rng(31), 60_000, spec, 10, 1.0 / 64, u_ref=1.6)
 
     p_fine = (fine[:, 3] > 0.5).mean()
     cont = math.exp(-1.0)
@@ -234,9 +235,6 @@ def test_fbm_batch_matches_unfused_reference():
 
 def test_batches_match_unfused_reference():
     for m in (1, 2, 3, 33):
-        _bitwise(fbm_increment_batch(_rng(m), m, 1.3, 25, 0.1),
-                 _ref_increments(_rng(m), m, 1.3, 25, 0.1))
-
         t = np.linspace(-1.0, 2.0, 31)
         spec = FbmW(1.5, DriftSpec(0.7, 1.2))
         drift = np.abs(t) ** 1.5 + spec.drift.h(t)
@@ -257,7 +255,7 @@ def test_batches_match_unfused_reference():
         _bitwise(chi_batch(_rng(m), m, Chi(3, st), 12, 0.25), np.sqrt(acc))
 
         q = Queue(1.5, 0.5)
-        w = max(int(math.ceil(q.horizon_mult * q.tau_star * 2.0 / 0.1)), 1)
+        w = max(int(math.ceil(QUEUE_LOOKAHEAD * q.tau_star * 2.0 / 0.1)), 1)
         y = _ref_fbm(_rng(m), m, 1.5, 9 + w, 0.1) \
             - q.c * (np.arange(10 + w) * 0.1)[None, :]
         _bitwise(queue_batch(_rng(m), m, q, 10, 0.1, u_ref=2.0),
@@ -306,7 +304,7 @@ def test_queue_batch_peak_memory():
     """Sliding maxima add only row-block temporaries: the queue sampler
     peaks near its circulant synthesis, not at 8x its path array."""
     spec = Queue(1.5, 1.0)
-    w = int(math.ceil(spec.horizon_mult * spec.tau_star * 1.5 / 0.02))
+    w = int(math.ceil(QUEUE_LOOKAHEAD * spec.tau_star * 1.5 / 0.02))
     path_bytes = 2000 * (200 + w) * 8
     _fgn_eigs(1.5, 199 + w)
     tracemalloc.start()

@@ -87,10 +87,10 @@ def test_derive_seed_is_stable_and_spread():
 
 
 def test_substream_independence():
-    x0 = mc.substream(5, 0).standard_normal(4)
-    x1 = mc.substream(5, 1).standard_normal(4)
+    x0 = mc.generator(5, 0).standard_normal(4)
+    x1 = mc.generator(5, 1).standard_normal(4)
     assert not np.allclose(x0, x1)
-    again = mc.substream(5, 0).standard_normal(4)
+    again = mc.generator(5, 0).standard_normal(4)
     assert np.array_equal(x0, again)
 
 
@@ -146,7 +146,7 @@ def test_chunked_mean_one_chunk_se():
     n = 3000
     mean, se, n_chunks = mc.chunked_mean(_kernel, n, seed=6,
                                          params={"s": 1.0})
-    draws = _kernel(mc.substream(6, 0), n, {"s": 1.0})
+    draws = _kernel(mc.generator(6, 0), n, {"s": 1.0})
     assert n_chunks == 1
     assert np.isclose(mean, draws.mean(), rtol=1e-12, atol=0.0)
     assert np.isclose(se, draws.std(ddof=1) / np.sqrt(n), rtol=1e-9,
@@ -179,7 +179,7 @@ def test_chunk_is_row_blocks_of_one_substream():
         calls.append(m)
         return _walk_kernel(rng, m, params)
 
-    rng = mc.substream(21, 3)
+    rng = mc.generator(21, 3)
     want = np.concatenate([_walk_kernel(rng, m, None)
                            for m in (mc.ROW_BLOCK, mc.ROW_BLOCK, 17)])
     sums, sqs = mc._run_chunk(rec, 21, 3, n, None, width=3)
@@ -188,7 +188,7 @@ def test_chunk_is_row_blocks_of_one_substream():
     assert np.array_equal(sums, want.sum(axis=0))
     assert np.array_equal(sqs, np.square(want).sum(axis=0))
 
-    rng = mc.substream(21, 3)
+    rng = mc.generator(21, 3)
     want = np.concatenate([_kernel(rng, m, {"s": 1.0})
                            for m in (mc.ROW_BLOCK, mc.ROW_BLOCK, 17)])
     sums, sqs = mc._run_chunk(_kernel, 21, 3, n, {"s": 1.0})
@@ -199,7 +199,7 @@ def test_stream_ids_name_sfc64():
     assert all(s.startswith("sfc64:") for s in mc.stream_ids(17, 3))
     assert mc.stream_ids(17, 2) == [mc.stream_id(17, 0), "sfc64:17:1"]
     assert mc.stream_id(17) == "sfc64:17"  # generator(17), no spawn key
-    assert isinstance(mc.substream(5, 0).bit_generator, np.random.SFC64)
+    assert isinstance(mc.generator(5, 0).bit_generator, np.random.SFC64)
     assert np.array_equal(mc.generator(5).random(3),
                           mc.generator(5).random(3))
 

@@ -112,7 +112,8 @@ BRANCHES = [
 ]
 
 # experiment family routes the runs above miss: the 2-D double sum, the
-# independent-block control and the fixed-window queue target curve
+# independent-block control, the fixed-window queue target curve and a queue
+# level below 1, where the lookahead keeps its u >= 1 floor
 FAMILIES = [
     "double-sum --family stationary-2d --u 2.5 --n-schedule 2,4 --n-sims 4000 "
     "--sim-batch 2000 --domain-t 2 --domain-t2 2 --seed 20",
@@ -121,6 +122,9 @@ FAMILIES = [
     "run-experiment --family queue --u 2.0 --x-grid 0,0.5,1,2.5 --queue-t 2 "
     "--n-conditioned 300 --sim-batch 5000 --max-sims 100000 "
     "--target-samples 3000 --seed 22",
+    "run-experiment --family queue --u 0.8 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 2000 --max-sims 100000 "
+    "--target-samples 2000 --seed 23",
 ]
 
 RUNS = (README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
