@@ -21,7 +21,8 @@ from .berman import (DEFAULT_LIMIT_SCHEDULE, ConstantEstimate,
                      estimate_berman_1d_limit, estimate_berman_2d,
                      estimate_bhat, parabola_constant_closed_form)
 from .asymptotics import (DoubleSumResult, ExperimentResult,
-                          ExperimentSettings, QueueAsymptotics,
+                          ExperimentSettings, QueueAsymptotics, TargetCurve,
                           conditional_sojourn_cdf, double_sum_diagnostic,
                           queue_asymptotics, queue_prefactor,
-                          queue_window_exceed_mc, scaling_function)
+                          queue_window_exceed_mc, scaling_function,
+                          target_curve)

@@ -20,15 +20,18 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaincc, gammainccinv, log_ndtr, ndtri_exp
 
 from . import mc
 from .berman import berman_curve_1d, berman_curve_2d
 from .gaussim import (Chi, DriftSpec, GridSpec, Lattice2D, Queue,
                       ScaledVariance2D, StationaryExp1D, StationaryExp2D,
-                      chi_batch, normal_tail, queue_batch, stationary2d_batch,
+                      normal_tail, queue_batch, stationary2d_batch,
                       stationary_batch)
 
 MIN_CONFIDENT_CONDITIONED = 500
+PILOT_DRAWS = 1024  # first pass of the importance sampler, 16 row blocks
+ESS_MARGIN = 1.1    # draws sized for this multiple of the target ESS
 
 
 def _axis_scales(spec, u):
@@ -50,8 +53,15 @@ def _axis_scales(spec, u):
                 (spec.base.a2, spec.base.alpha2, spec.beta2)]
     else:
         raise TypeError(f"unknown experiment family {type(spec).__name__}")
-    return [a ** (-1.0 / alpha) * u ** (-2.0 / alpha) if alpha <= beta
-            else u ** (-2.0 / beta) for a, alpha, beta in axes]
+    try:
+        scales = [a ** (-1.0 / alpha) * u ** (-2.0 / alpha) if alpha <= beta
+                  else u ** (-2.0 / beta) for a, alpha, beta in axes]
+    except OverflowError:
+        scales = [math.inf]
+    if not all(0.0 < s < math.inf for s in scales):
+        raise mc.ConfigError(f"level u={u:g} gives a local scale outside "
+                             "the floating-point range")
+    return scales
 
 
 def _axis_table(spec, i):
@@ -95,6 +105,9 @@ class ExperimentSettings:
     scale, so the lattice geometry is identical across levels u after
     rescaling; target curves are built at the same rescaled pitch so the two
     sides of the comparison discretize the sojourn functional identically.
+    sim_batch and max_sims are the batch size and the cap on simulations of
+    a rejection loop; for an importance-sampled family they are the chunk
+    size and the cap on draws.
     """
     domain_T: float = 1.0
     domain_T2: float = 1.0
@@ -161,21 +174,93 @@ def _check_x_grid(x_grid):
     return xg
 
 
+def _kept_x(family, settings, xg):
+    """(kept, excluded) x values: near the right edge of a finite queue
+    window the conditional limit is not defined, so x within one grid step
+    of the window end is refused."""
+    if not (isinstance(family, Queue) and settings.queue_T is not None):
+        return xg, []
+    edge = settings.queue_T - 1.0 / settings.points_per_v
+    return ([x for x in xg if x < edge - 1e-12],
+            [x for x in xg if x >= edge - 1e-12])
+
+
+@dataclass(frozen=True)
+class TargetCurve:
+    """Constant-ratio limit curve over the kept x grid, with its standard
+    errors and the substreams its estimate drew."""
+    x_grid: tuple
+    values: tuple
+    std_errs: tuple
+    stream_ids: list
+
+
+def target_curve(family, settings, x_grid, seed=0, *, workers=1):
+    """The constant-ratio limit curve that conditional_sojourn_cdf compares
+    against, at the experiment's rescaled pitch.
+
+    It depends on the family and settings but not on the level u, so one
+    curve serves every level of a run (pass it as `target`).
+    """
+    xg, _ = _kept_x(family, settings, _check_x_grid(x_grid))
+    pitch = 1.0 / settings.points_per_v
+    if isinstance(family, (StationaryExp1D, Chi, Queue)):
+        # a fixed queue window is short enough for plain averaging; long-run
+        # targets need the tilted kernel, whose variance is flat in S
+        fixed = isinstance(family, Queue) and settings.queue_T is not None
+        alpha = family.base.alpha if isinstance(family, Chi) else family.alpha
+        vals, ses, streams = berman_curve_1d(
+            alpha, xg, settings.queue_T if fixed else settings.target_S,
+            n_samples=settings.target_samples, seed=seed, delta=pitch,
+            method="plain" if fixed else "tilted", workers=workers,
+            chunk_size=mc.DEFAULT_CHUNK if fixed else 1024)
+    elif isinstance(family, StationaryExp2D):
+        vals, ses, streams = berman_curve_2d(
+            family.alpha1, family.alpha2, xg, settings.target_S_2d, pitch,
+            n_samples=settings.target_samples, seed=seed, workers=workers)
+    elif isinstance(family, ScaledVariance2D):
+        hats, drifts = [], []
+        for i, beta in ((1, family.beta1), (2, family.beta2)):
+            hat_alpha, coef = _axis_table(family, i)
+            hats.append(hat_alpha)
+            drifts.append(DriftSpec(coef, beta) if coef > 0 else DriftSpec())
+        vals, ses, streams = berman_curve_2d(
+            hats[0], hats[1], xg, settings.target_S_2d, pitch,
+            n_samples=settings.target_samples, seed=seed, drift1=drifts[0],
+            drift2=drifts[1], workers=workers)
+    else:
+        raise TypeError(f"unknown experiment family {type(family).__name__}")
+    target = vals / vals[0]
+    rel0 = ses[0] / vals[0]
+    target_se = target * np.sqrt((ses / np.maximum(vals, 1e-300)) ** 2
+                                 + rel0 ** 2)
+    target_se[0] = 0.0
+    return TargetCurve(tuple(xg), tuple(target.tolist()),
+                       tuple(target_se.tolist()), streams)
+
+
 def conditional_sojourn_cdf(family, settings, u, x_grid,
-                            n_target_conditioned=1000, seed=0, *, workers=1):
+                            n_target_conditioned=1000, seed=0, *, workers=1,
+                            target=None):
     """Empirical conditional law of the rescaled sojourn volume at level u.
 
     Simulates the family's process on a lattice with points_per_v nodes per
-    local scale, keeps replicates whose grid maximum exceeds u, and reports
-    P(Vol > v(u) x | sup > u) per x against the matching constant-ratio
-    target curve built at the same rescaled pitch. The retained volumes are
-    shared across the x grid, so the empirical curve is exactly
-    nonincreasing with ratio 1 at x = 0.
+    local scale and reports P(Vol > v(u) x | sup > u) per x against the
+    matching constant-ratio target curve built at the same rescaled pitch.
+    Every x column comes from the same replicates, so the empirical curve
+    is exactly nonincreasing with ratio 1 at x = 0.
 
-    family is the gaussim spec simulated: StationaryExp1D, Chi,
-    StationaryExp2D, ScaledVariance2D (variance peak at the origin) or
-    Queue. metadata["stream_ids"] names the rejection loop's generator, then
-    the target curve's substreams.
+    StationaryExp1D and Chi are importance sampled (`_importance_conditioned`):
+    n_target_conditioned is then a Kish effective sample size, reached
+    unless settings.max_sims draws come first, and n_conditioned reports it.
+    StationaryExp2D, ScaledVariance2D (variance peak at the origin) and
+    Queue keep the replicates whose grid maximum exceeds u, until
+    n_target_conditioned are kept or max_sims are simulated.
+
+    target is a TargetCurve for this family, settings and x grid; when None
+    the curve is drawn from derive_seed(seed, 0x7A). metadata["stream_ids"]
+    names the streams this call drew: the sampler's, then the target
+    curve's when it built one.
     """
     xg = _check_x_grid(x_grid)
     if u <= 0:
@@ -184,88 +269,185 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         raise mc.ConfigError("n_target_conditioned must be >= 1")
     t0 = time.perf_counter()
     v_u = scaling_function(family, u)
-    rejection_seed = mc.derive_seed(seed, 0xE)
-    rng = mc.generator(rejection_seed)
+    xg_kept, excluded = _kept_x(family, settings, xg)
+    if target is not None and target.x_grid != tuple(xg_kept):
+        raise mc.ConfigError(f"the target curve covers x = {target.x_grid}, "
+                             f"not {tuple(xg_kept)}")
 
-    vols, n_sims, domain_vol, grid_meta = _collect_conditioned(
-        family, settings, u, rng, n_target_conditioned)
-    n_cond = vols.size
-    if n_cond == 0:
-        raise mc.NumericFailure(
-            f"no replicates with sup > {u} in {n_sims} simulations; "
-            "lower u or raise max_sims")
+    if isinstance(family, (StationaryExp1D, Chi)):
+        ratio, ci_lo, ci_hi, n_cond, meta = _importance_conditioned(
+            family, settings, u, v_u, xg_kept, n_target_conditioned, seed,
+            workers)
+    else:
+        ratio, ci_lo, ci_hi, n_cond, meta = _rejection_conditioned(
+            family, settings, u, v_u, xg_kept, n_target_conditioned, seed)
 
     flags = []
     if n_cond < MIN_CONFIDENT_CONDITIONED:
         flags.append("low-confidence")
-
-    xg_kept, excluded = xg, []
-    if isinstance(family, Queue) and settings.queue_T is not None:
-        # near the right edge of a finite horizon the conditional limit is
-        # not defined; refuse x within one grid step of T
-        edge = settings.queue_T - 1.0 / settings.points_per_v
-        xg_kept = [x for x in xg if x < edge - 1e-12]
-        excluded = [x for x in xg if x >= edge - 1e-12]
-        if excluded:
-            flags.append("excluded-near-horizon")
+    if excluded:
+        flags.append("excluded-near-horizon")
     if isinstance(family, ScaledVariance2D) and (
             _axis_table(family, 1)[0] == 0.0
             or _axis_table(family, 2)[0] == 0.0):
         flags.append("degenerate-axis")
 
-    counts = np.array([(vols > v_u * x).sum() for x in xg_kept])
-    ratio = counts / n_cond
-    ci_lo = np.empty(len(xg_kept))
-    ci_hi = np.empty(len(xg_kept))
-    for j, k in enumerate(counts):
-        ci_lo[j], ci_hi[j] = mc.wilson_interval(int(k), n_cond)
+    if target is None:
+        target = target_curve(family, settings, xg_kept,
+                              mc.derive_seed(seed, 0x7A), workers=workers)
+        meta["stream_ids"] = meta["stream_ids"] + target.stream_ids
+    sup_distance = float(np.max(np.abs(ratio - np.asarray(target.values))))
 
-    target, target_se, target_streams = _target_curve(
-        family, settings, xg_kept, mc.derive_seed(seed, 0x7A), workers)
-    sup_distance = float(np.max(np.abs(ratio - target)))
-
-    meta = {"seed": seed, "v_u": v_u, "n_sims": n_sims,
-            "domain_volume": domain_vol, "runtime_s": time.perf_counter() - t0,
-            "pitch": 1.0 / settings.points_per_v, "excluded_x": tuple(excluded),
-            "stream_ids": [mc.stream_id(rejection_seed)] + target_streams,
-            **grid_meta}
+    meta.update({"seed": seed, "v_u": v_u,
+                 "runtime_s": time.perf_counter() - t0,
+                 "pitch": 1.0 / settings.points_per_v,
+                 "excluded_x": tuple(excluded)})
     return ExperimentResult(family, float(u), tuple(xg_kept),
                             tuple(ratio.tolist()), tuple(ci_lo.tolist()),
                             tuple(ci_hi.tolist()), int(n_cond),
-                            tuple(np.asarray(target).tolist()),
-                            tuple(np.asarray(target_se).tolist()),
-                            sup_distance, tuple(flags), meta)
+                            target.values, target.std_errs, sup_distance,
+                            tuple(flags), meta)
 
 
-def _collect_conditioned(family, settings, u, rng, n_target):
-    """Retained sojourn volumes (sup > u) plus bookkeeping for the metadata."""
-    ppv = settings.points_per_v
+def _importance_conditioned(family, settings, u, v_u, xg, n_target, seed,
+                            workers):
+    """Conditional curve of a StationaryExp1D or Chi family by the mixture
+    of tilts (Adler, Blanchet & Liu 2012; Shi, Siegmund & Yakir 2007).
+
+    Each draw picks an anchor node tau uniformly, draws the field at tau
+    from its tail above u and the rest of the path conditionally on it, and
+    carries the weight w = 1 / N_u, with N_u the number of nodes above u.
+    Then E[w 1{A}] / E[w] = P(A | max > u) for any event A, and
+    n_points * P(field(tau) > u) * E[w] = P(max > u). The kernel's columns
+    are w 1{delta N_u > v(u) x_j}, whose x = 0 column is w itself, and
+    each of them plus w, which gives the ratio's delta-method standard
+    error by polarisation.
+
+    The draws run through mc.chunked_mean in chunks of settings.sim_batch.
+    A pilot pass of PILOT_DRAWS sizes the run so the Kish effective sample
+    size (sum w)^2 / sum w^2 reaches n_target; a run that falls short is
+    resized from its own effective share, until settings.max_sims draws.
+    Every pass is a pure function of (seed, draws, sim_batch), so the
+    result does not depend on workers.
+    """
+    delta = v_u / settings.points_per_v
+    n_pts = int(math.ceil(settings.domain_T / delta)) + 1
+    base = family.base if isinstance(family, Chi) else family
+    lags = np.abs(np.arange(1 - n_pts, n_pts)) * delta
+    if isinstance(family, Chi):
+        tail = float(gammaincc(family.m / 2.0, u * u / 2.0))
+        if not tail > 0.0:
+            raise mc.NumericFailure(
+                f"the chi_{family.m} tail above u={u:g} underflows; lower u")
+    else:
+        tail = normal_tail(u)
+    k = len(xg)
+    params = {"spec": family, "u": u, "n_points": n_pts, "delta": delta,
+              "corr": np.exp(-base.a * lags ** base.alpha), "tail": tail,
+              "log_tail": float(log_ndtr(-u)),
+              "thresholds": v_u * np.asarray(xg)}
+    sub = mc.derive_seed(seed, 0xE)
+    n = min(PILOT_DRAWS, settings.max_sims)
+    while True:
+        mean, se, n_chunks = mc.chunked_mean(
+            _anchored_kernel, n, sub, params, width=2 * k,
+            chunk_size=settings.sim_batch, workers=workers)
+        ess = n * mean[0] ** 2 / ((n - 1) * se[0] ** 2 + mean[0] ** 2)
+        if ess >= n_target or n == settings.max_sims:
+            break
+        grow = int(n * n_target / ess * ESS_MARGIN)  # in whole row blocks
+        n = min(settings.max_sims, -(-grow // mc.ROW_BLOCK) * mc.ROW_BLOCK)
+
+    ratio, ratio_se = mc.ratio_se(mean[:k], mean[0], se[:k], se[0], se[k:])
+    ci_lo = np.clip(ratio - mc.Z95 * ratio_se, 0.0, 1.0)
+    ci_hi = np.clip(ratio + mc.Z95 * ratio_se, 0.0, 1.0)
+    meta = {"n_sims": n, "ess": float(ess),
+            "p_exceed": n_pts * tail * float(mean[0]),
+            "p_exceed_se": n_pts * tail * float(se[0]),
+            "domain_volume": (n_pts - 1) * delta, "delta": delta,
+            "n_points": n_pts, "stream_ids": mc.stream_ids(sub, n_chunks)}
+    return ratio, ci_lo, ci_hi, int(ess), meta
+
+
+def _anchored_kernel(rng, m, p):
+    """m mixture-of-tilts draws (see _importance_conditioned): columns
+    w 1{delta N_u > v(u) x_j} for each x_j, then each of them plus w.
+
+    A path conditioned on its value c at tau is Y - Y(tau) r(. - tau)
+    + c r(. - tau), with Y unconditioned and r the correlation; the anchor
+    node keeps exactly c. A chi anchor draws its norm from the chi_m tail
+    above u and its direction uniformly, and conditions each component.
+    """
+    spec, u, n = p["spec"], p["u"], p["n_points"]
+    tau = rng.integers(n, size=m)
+    r = p["corr"][(n - 1 - tau)[:, None] + np.arange(n)]
+    v = 1.0 - rng.random(m)  # in (0, 1]
+    if isinstance(spec, Chi):
+        norm2 = 2.0 * gammainccinv(spec.m / 2.0, p["tail"] * v)
+        if not np.all(np.isfinite(norm2)):
+            raise mc.NumericFailure(
+                f"the chi_{spec.m} tail above u={u:g} underflows; lower u")
+        g = rng.standard_normal((m, spec.m))
+        anchor = g * (np.sqrt(norm2) / np.sqrt((g * g).sum(axis=1)))[:, None]
+        field = np.zeros((m, n))
+        for i in range(spec.m):
+            x = _conditioned(rng, m, spec.base, p, r, tau, anchor[:, i])
+            x *= x
+            field += x
+        np.sqrt(field, out=field)
+    else:
+        anchor = -ndtri_exp(p["log_tail"] + np.log(v))
+        field = _conditioned(rng, m, spec, p, r, tau, anchor)
+    # the anchor exceeds u by construction; the floor covers an anchor drawn
+    # at u itself and a chi norm rounded down to it
+    n_u = np.maximum((field > u).sum(axis=1), 1)
+    w = 1.0 / n_u
+    cols = w[:, None] * (p["delta"] * n_u[:, None] > p["thresholds"])
+    return np.concatenate([cols, cols + w[:, None]], axis=1)
+
+
+def _conditioned(rng, m, spec, p, r, tau, anchor):
+    """m StationaryExp1D paths, row i conditioned on the value anchor[i] at
+    node tau[i]; r holds each row's correlation with its anchor node."""
+    y = stationary_batch(rng, m, spec, p["n_points"], p["delta"])
+    y -= y[np.arange(m), tau][:, None] * r
+    y += anchor[:, None] * r
+    return y
+
+
+def _rejection_conditioned(family, settings, u, v_u, xg, n_target, seed):
+    """Conditional curve by rejection: simulate until n_target replicates
+    with grid maximum above u are kept or settings.max_sims are simulated;
+    Wilson intervals."""
+    rejection_seed = mc.derive_seed(seed, 0xE)
+    rng = mc.generator(rejection_seed)
     sampler, vol_step, domain_vol, grid_meta = _family_sampler(
-        family, settings, u, ppv)
+        family, settings, u, settings.points_per_v)
     vols = []
     n_sims = 0
     while sum(len(v) for v in vols) < n_target and n_sims < settings.max_sims:
         m = min(settings.sim_batch, settings.max_sims - n_sims)
         cnt = sampler(rng, m)
-        keep = cnt > 0
-        vols.append(vol_step * cnt[keep])
+        vols.append(vol_step * cnt[cnt > 0])
         n_sims += m
-    return np.concatenate(vols) if vols else np.empty(0), n_sims, \
-        domain_vol, grid_meta
+    vols = np.concatenate(vols)
+    n_cond = vols.size
+    if n_cond == 0:
+        raise mc.NumericFailure(
+            f"no replicates with sup > {u} in {n_sims} simulations; "
+            "lower u or raise max_sims")
+    counts = np.array([(vols > v_u * x).sum() for x in xg])
+    ci_lo = np.empty(len(xg))
+    ci_hi = np.empty(len(xg))
+    for j, c in enumerate(counts):
+        ci_lo[j], ci_hi[j] = mc.wilson_interval(int(c), n_cond)
+    meta = {"n_sims": n_sims, "domain_volume": domain_vol,
+            "stream_ids": [mc.stream_id(rejection_seed)], **grid_meta}
+    return counts / n_cond, ci_lo, ci_hi, n_cond, meta
 
 
 def _family_sampler(family, settings, u, ppv):
     """Per-family closure returning exceedance-node counts per replicate."""
-    if isinstance(family, (StationaryExp1D, Chi)):
-        delta = scaling_function(family, u) / ppv
-        n_pts = int(math.ceil(settings.domain_T / delta)) + 1
-        batch = chi_batch if isinstance(family, Chi) else stationary_batch
-
-        def sampler(rng, m):
-            return (batch(rng, m, family, n_pts, delta) > u).sum(axis=1)
-        return sampler, delta, (n_pts - 1) * delta, \
-            {"delta": delta, "n_points": n_pts}
-
     if isinstance(family, StationaryExp2D):
         d1, d2 = (e / ppv for e in _axis_scales(family, u))
         n1 = int(math.ceil(settings.domain_T / d1)) + 1
@@ -308,44 +490,6 @@ def _family_sampler(family, settings, u, ppv):
             {"delta": delta, "n_points": n_pts, "horizon_T_u": (n_pts - 1) * delta}
 
     raise TypeError(f"unknown experiment family {type(family).__name__}")
-
-
-def _target_curve(family, settings, xg, seed, workers):
-    """Constant-ratio limit curve at the experiment's rescaled pitch, with
-    the substreams its estimate drew."""
-    pitch = 1.0 / settings.points_per_v
-    if isinstance(family, (StationaryExp1D, Chi, Queue)):
-        # a fixed queue window is short enough for plain averaging; long-run
-        # targets need the tilted kernel, whose variance is flat in S
-        fixed = isinstance(family, Queue) and settings.queue_T is not None
-        alpha = family.base.alpha if isinstance(family, Chi) else family.alpha
-        vals, ses, streams = berman_curve_1d(
-            alpha, xg, settings.queue_T if fixed else settings.target_S,
-            n_samples=settings.target_samples, seed=seed, delta=pitch,
-            method="plain" if fixed else "tilted", workers=workers,
-            chunk_size=mc.DEFAULT_CHUNK if fixed else 1024)
-    elif isinstance(family, StationaryExp2D):
-        vals, ses, streams = berman_curve_2d(
-            family.alpha1, family.alpha2, xg, settings.target_S_2d, pitch,
-            n_samples=settings.target_samples, seed=seed, workers=workers)
-    elif isinstance(family, ScaledVariance2D):
-        hats, drifts = [], []
-        for i, beta in ((1, family.beta1), (2, family.beta2)):
-            hat_alpha, coef = _axis_table(family, i)
-            hats.append(hat_alpha)
-            drifts.append(DriftSpec(coef, beta) if coef > 0 else DriftSpec())
-        vals, ses, streams = berman_curve_2d(
-            hats[0], hats[1], xg, settings.target_S_2d, pitch,
-            n_samples=settings.target_samples, seed=seed, drift1=drifts[0],
-            drift2=drifts[1], workers=workers)
-    else:
-        raise TypeError(f"unknown experiment family {type(family).__name__}")
-    target = vals / vals[0]
-    rel0 = ses[0] / vals[0]
-    target_se = target * np.sqrt((ses / np.maximum(vals, 1e-300)) ** 2
-                                 + rel0 ** 2)
-    target_se[0] = 0.0
-    return target, target_se, streams
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +572,7 @@ def double_sum_diagnostic(family, u, n_schedule=(2.0, 4.0, 8.0), seed=0, *,
     if np.any(single == 0):
         raise mc.NumericFailure(
             f"no block exceedances at u={u}; lower u or raise n_sims")
-    # delta method for joint/single; the J+S column gives Cov by polarisation
-    ratios = joint / single
-    cov = (se_js ** 2 - se_j ** 2 - se_s ** 2) / 2.0
-    ses = np.sqrt(np.maximum(se_j ** 2 - 2.0 * ratios * cov
-                             + ratios ** 2 * se_s ** 2, 0.0)) / single
+    ratios, ses = mc.ratio_se(joint, single, se_j, se_s, se_js)
     meta = {"seed": seed, "n_sims": n_sims,
             "delta": deltas[0] if len(deltas) == 1 else tuple(deltas),
             "block_widths_cells": tuple(widths),

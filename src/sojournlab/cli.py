@@ -24,7 +24,8 @@ import time
 from . import __version__, mc
 from .mc import ConfigError
 from .asymptotics import (ExperimentSettings, conditional_sojourn_cdf,
-                          double_sum_diagnostic)
+                          double_sum_diagnostic, scaling_function,
+                          target_curve)
 from .berman import (brownian_sup_oracle, estimate_berman_1d,
                      estimate_berman_1d_limit, estimate_berman_2d,
                      estimate_bhat, parabola_constant_closed_form)
@@ -34,6 +35,8 @@ from .gaussim import (Chi, DriftSpec, Queue, ScaledVariance2D,
 ENV_PREFIX = "SOJOURNLAB_"
 MANIFEST_SCHEMA = "sojournlab-manifest-v1"
 MANIFEST_NAME = "run_manifest.json"
+BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
 
 
 class Opt:
@@ -60,12 +63,18 @@ class Opt:
         """raw as this option's value; a ConfigError names the source of a
         value that does not convert, is not finite or is not a choice."""
         if self.typ is bool:
-            if isinstance(raw, bool):
-                return raw
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
+            val = raw if isinstance(raw, bool) else BOOL_SPELLINGS.get(
+                str(raw).strip().lower())
+            if val is None:
+                raise ConfigError(f"bad value {raw!r} for {source}")
+            return val
         if raw is None and self.default is None:
             return None
         try:
+            # an int option takes no bool and no fractional or non-finite float
+            if self.typ is int and (isinstance(raw, bool) or isinstance(
+                    raw, float) and not raw.is_integer()):
+                raise ValueError
             val = self.typ(raw)
         except (TypeError, ValueError):
             val = None
@@ -122,11 +131,13 @@ SUBCOMMAND_OPTS = {
         Opt("beta2", float, 2.0, "axis-2 variance-decay exponent (one-point)"),
         Opt("chi_m", int, 1, "chi degree"),
         Opt("c", float, 1.0, "queue service rate"),
-        Opt("n_conditioned", int, 1000, "conditioned replicates per level"),
+        Opt("n_conditioned", int, 1000, "conditioned replicates per level "
+            "(an effective sample size for stationary-1d and chi)"),
         Opt("domain_t", float, 1.0, "observation window, axis 1"),
         Opt("domain_t2", float, 1.0, "observation window, axis 2"),
         Opt("points_per_v", int, 8, "grid nodes per local-scale unit"),
-        Opt("sim_batch", int, 20_000, "simulated replicates per batch"),
+        Opt("sim_batch", int, 20_000, "simulated replicates per batch (per "
+            "chunk for stationary-1d and chi)"),
         Opt("max_sims", int, 8_000_000, "hard cap on simulated replicates"),
         Opt("target_s", float, 256.0, "domain for 1D long-run target curves"),
         Opt("target_s_2d", float, 8.0, "domain for 2D target curves"),
@@ -290,13 +301,19 @@ def _run_experiment(cfg, workers):
     settings = _experiment_settings(cfg)
     levels = _floats(cfg["u"])
     xg = _floats(cfg["x_grid"])
+    for u in levels:  # refuse a bad level before the target curve is drawn
+        scaling_function(family, u)
+    seeds = [mc.derive_seed(cfg["seed"], 1000 + i) for i in range(len(levels))]
+    # the target does not depend on u: one curve, from the first level's seed
+    target = target_curve(family, settings, xg, mc.derive_seed(seeds[0], 0x7A),
+                          workers=workers)
     header = ("u", "x", "ratio_hat", "ci_lo", "ci_hi", "target", "target_se")
-    rows, flags, streams = [], [], {}
-    for i, u in enumerate(levels):
-        seed_u = mc.derive_seed(cfg["seed"], 1000 + i)
+    rows, flags, streams = [], [], {"target": target.stream_ids}
+    for u, seed_u in zip(levels, seeds):
         res = conditional_sojourn_cdf(family, settings, u, xg,
                                       n_target_conditioned=cfg["n_conditioned"],
-                                      seed=seed_u, workers=workers)
+                                      seed=seed_u, workers=workers,
+                                      target=target)
         streams[f"u={u:g}"] = res.metadata["stream_ids"]
         for j, x in enumerate(res.x_grid):
             rows.append((u, x, res.ratio_hat[j], res.ci_lo[j], res.ci_hi[j],
@@ -389,8 +406,9 @@ def build_parser():
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Monte Carlo chunks of "
                              "estimate-constant, convergence, double-sum and "
-                             "the run-experiment target curves; no effect on "
-                             "oracle")
+                             "run-experiment (whose stationary-2d, "
+                             "one-point-2d and queue rejection loops run in "
+                             "one process); no effect on oracle")
         sp.add_argument("--out", default="sojournlab-out",
                         help="output directory")
         for opt in SEMANTIC_GLOBALS + opts:

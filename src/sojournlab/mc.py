@@ -35,6 +35,7 @@ import numpy as np
 
 
 DEFAULT_CHUNK = 4096
+Z95 = 1.959963984540054  # two-sided 95 % normal quantile
 ROW_BLOCK = 64  # rows per kernel call inside a chunk; part of the stream
 
 # the running chunk's reusable temporaries by name, or None outside a chunk
@@ -117,7 +118,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     samples, so column estimates share the per-path randomness (exact
     pathwise monotonicity across columns is preserved when the kernel
     guarantees it). Returns (mean, se, n_chunks), with mean and se arrays of
-    length width when width is given.
+    length width when width is given. A single chunk runs in-process
+    whatever workers is.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
@@ -133,7 +135,7 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     shape = (n_chunks,) if width is None else (n_chunks, int(width))
     sums = np.empty(shape)
     sqs = np.empty(shape)
-    if workers and workers > 1:
+    if workers and workers > 1 and n_chunks > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
             futs = [pool.submit(_run_chunk, kernel, seed, k, sizes[k], params, width)
                     for k in range(n_chunks)]
@@ -151,7 +153,18 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     return mean, se, n_chunks
 
 
-def wilson_interval(k, n, z=1.959963984540054):
+def ratio_se(num, den, se_num, se_den, se_sum):
+    """Ratio num / den of two column means of one sample, and its
+    delta-method standard error. se_sum is the standard error of the
+    num + den column, which gives the covariance by polarisation."""
+    ratio = num / den
+    cov = (se_sum ** 2 - se_num ** 2 - se_den ** 2) / 2.0
+    se = np.sqrt(np.maximum(se_num ** 2 - 2.0 * ratio * cov
+                            + ratio ** 2 * se_den ** 2, 0.0)) / den
+    return ratio, se
+
+
+def wilson_interval(k, n, z=Z95):
     """Wilson score interval for a binomial proportion.
 
     Each end is clamped so that the interval contains k/n: at k = 0 and

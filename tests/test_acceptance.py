@@ -19,7 +19,8 @@ from sojournlab.asymptotics import (ExperimentSettings,
                                     double_sum_diagnostic,
                                     conditional_sojourn_cdf,
                                     queue_asymptotics, queue_prefactor,
-                                    queue_window_exceed_mc, scaling_function)
+                                    queue_window_exceed_mc, scaling_function,
+                                    target_curve)
 from sojournlab.berman import (berman2_parabola_oracle, brownian_sup_oracle,
                                estimate_berman_1d, estimate_berman_1d_limit,
                                estimate_bhat, parabola_constant_closed_form)
@@ -172,7 +173,9 @@ def test_conditional_curve_approaches_target():
     """For the chi families (m=1,2) and the plain stationary family the
     sup-distance between the conditional curve and its target is
     nonincreasing over u in {2.5, 3.0, 3.5}, each level holding at least
-    500 conditioned replicates and an exact unit anchor at x = 0."""
+    500 conditioned replicates and an exact unit anchor at x = 0. Each
+    level is importance sampled to an effective sample size of 100k, against
+    one target curve drawn from the u=2.5 level's former target seed."""
     settings = ExperimentSettings(target_samples=50_000)
     x_grid = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
     families = {
@@ -180,20 +183,24 @@ def test_conditional_curve_approaches_target():
         "chi m=1": Chi(1, StationaryExp1D(1.0, 1.0)),
         "chi m=2": Chi(2, StationaryExp1D(1.0, 1.0)),
     }
+    # the target depends on a 1-D family only through alpha, which all
+    # three share, so the three families' curves are one curve
+    target = target_curve(families["stationary"], settings, x_grid,
+                          seed=mc.derive_seed(250, 0x7A))
     ok = True
     parts = []
     for name, fam in families.items():
         dists = []
         for u in (2.5, 3.0, 3.5):
             res = conditional_sojourn_cdf(fam, settings, u, x_grid,
-                                          n_target_conditioned=20_000,
-                                          seed=int(u * 100))
+                                          n_target_conditioned=100_000,
+                                          seed=int(u * 100), target=target)
             ok = ok and res.n_conditioned >= 500
             ok = ok and res.ratio_hat[0] == 1.0
             dists.append(res.sup_distance)
         ok = ok and all(b <= a for a, b in zip(dists, dists[1:]))
         parts.append(name + ": " + "->".join(f"{d:.4f}" for d in dists))
-    detail = ("sup-distance over u=2.5,3.0,3.5 (20k conditioned each): "
+    detail = ("sup-distance over u=2.5,3.0,3.5 (100k effective each): "
               + "; ".join(parts))
     _verdict(6, ok, detail)
     assert ok, detail

@@ -8,9 +8,10 @@ from sojournlab.asymptotics import (ExperimentResult, ExperimentSettings,
                                     _axis_table, conditional_sojourn_cdf,
                                     double_sum_diagnostic, queue_asymptotics,
                                     queue_prefactor, queue_window_exceed_mc,
-                                    scaling_function)
+                                    scaling_function, target_curve)
 from sojournlab.gaussim import (Chi, Queue, ScaledVariance2D,
-                                StationaryExp1D, StationaryExp2D)
+                                StationaryExp1D, StationaryExp2D, chi_batch,
+                                stationary_batch)
 
 
 def _one_point(a1, a2, alpha1, alpha2, b1, b2, beta1, beta2):
@@ -112,8 +113,9 @@ def test_conditional_sojourn_cdf_shape_and_anchoring():
 
 
 def test_conditional_sojourn_cdf_low_confidence_flag():
-    settings = ExperimentSettings(target_samples=3000, sim_batch=10_000,
-                                  max_sims=20_000)
+    """The draw cap binds before the effective sample size is reached."""
+    settings = ExperimentSettings(target_samples=3000, sim_batch=1000,
+                                  max_sims=1000)
     res = conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 3.0,
                                   (0.0, 1.0), n_target_conditioned=50_000,
                                   seed=1)
@@ -122,11 +124,80 @@ def test_conditional_sojourn_cdf_low_confidence_flag():
 
 
 def test_conditional_sojourn_cdf_no_exceedance_is_a_failure():
-    settings = ExperimentSettings(target_samples=1000, sim_batch=5000,
-                                  max_sims=5000)
+    """A rejection family that keeps nothing cannot report a curve."""
+    settings = ExperimentSettings(target_samples=1000, sim_batch=500,
+                                  max_sims=500)
     with pytest.raises(mc.NumericFailure):
-        conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 30.0,
+        conditional_sojourn_cdf(Queue(1.0, 1.0), settings, 40.0,
                                 (0.0, 1.0), seed=0)
+
+
+def test_conditional_chi_tail_underflow_is_a_failure():
+    settings = ExperimentSettings(target_samples=1000)
+    with pytest.raises(mc.NumericFailure):
+        conditional_sojourn_cdf(Chi(2, StationaryExp1D(1.0, 1.0)), settings,
+                                40.0, (0.0, 1.0), seed=0)
+
+
+@pytest.mark.parametrize("family, batch", [
+    (StationaryExp1D(1.0, 1.0), stationary_batch),
+    (Chi(2, StationaryExp1D(1.0, 1.0)), chi_batch),
+])
+def test_importance_sampling_matches_rejection(family, batch):
+    """At u=2.5, where rejection is cheap, the importance-sampled curve
+    agrees with a rejection curve on the same grid within 4 combined SE
+    at every x, and its P(max > u) with the acceptance rate."""
+    u, xg = 2.5, (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+    settings = ExperimentSettings(target_samples=2000)
+    res = conditional_sojourn_cdf(family, settings, u, xg,
+                                  n_target_conditioned=10_000, seed=31)
+    assert res.n_conditioned >= 10_000
+    delta, n_pts = res.metadata["delta"], res.metadata["n_points"]
+    rng = mc.generator(32)
+    n_sims, vols = 0, []
+    while sum(len(v) for v in vols) < 10_000:
+        cnt = (batch(rng, 20_000, family, n_pts, delta) > u).sum(axis=1)
+        vols.append(delta * cnt[cnt > 0])
+        n_sims += 20_000
+    vols = np.concatenate(vols)
+    v_u = res.metadata["v_u"]
+    for j, x in enumerate(xg[1:], 1):
+        p = (vols > v_u * x).mean()
+        se_is = (res.ci_hi[j] - res.ci_lo[j]) / (2 * mc.Z95)
+        se_rej = math.sqrt(p * (1.0 - p) / vols.size)
+        assert abs(res.ratio_hat[j] - p) < 4 * math.hypot(se_is, se_rej), x
+    rate = vols.size / n_sims
+    rate_se = math.sqrt(rate * (1.0 - rate) / n_sims)
+    assert abs(res.metadata["p_exceed"] - rate) < 4 * math.hypot(
+        res.metadata["p_exceed_se"], rate_se)
+
+
+def test_conditional_stationary_at_a_high_level():
+    """Importance sampling reaches levels that rejection never does."""
+    settings = ExperimentSettings(target_samples=1000)
+    res = conditional_sojourn_cdf(StationaryExp1D(1.0, 1.0), settings, 40.0,
+                                  (0.0, 1.0, 2.0), n_target_conditioned=100,
+                                  seed=7)
+    assert res.ratio_hat[0] == 1.0
+    assert res.n_conditioned >= 100
+    assert all(0.0 < r < 1.0 for r in res.ratio_hat[1:])
+
+
+def test_conditional_sojourn_cdf_shared_target():
+    """A target curve passed in is used as is and not redrawn."""
+    settings = ExperimentSettings(target_samples=2000)
+    fam, xg = StationaryExp1D(1.0, 1.0), (0.0, 0.5, 1.0)
+    target = target_curve(fam, settings, xg, seed=5)
+    own = conditional_sojourn_cdf(fam, settings, 2.5, xg, 300, seed=6)
+    shared = conditional_sojourn_cdf(fam, settings, 2.5, xg, 300, seed=6,
+                                     target=target)
+    assert shared.target_curve == target.values
+    assert shared.ratio_hat == own.ratio_hat
+    assert own.metadata["stream_ids"][:len(shared.metadata["stream_ids"])] \
+        == shared.metadata["stream_ids"]
+    with pytest.raises(ValueError):
+        conditional_sojourn_cdf(fam, settings, 2.5, (0.0, 1.0), 300, seed=6,
+                                target=target)
 
 
 def test_conditional_sojourn_cdf_x_grid_validation():

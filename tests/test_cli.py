@@ -95,15 +95,18 @@ def test_estimate_constant_plain_writes_table_and_manifest(tmp_path):
 ])
 def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
                                                        argv):
-    """Each route's stream_ids are the substreams its estimate drew, in draw
+    """The manifest's stream_ids are the substreams the run drew, in draw
     order: one bhat route drawn once serves both rows, a refinement pass
-    adds its own substreams, and an experiment level lists its rejection
-    generator before its target curve's substreams."""
+    adds its own substreams, and an experiment lists its one target curve's
+    substreams under `target`, then each level's sampler substreams (a
+    pilot pass redraws a prefix of them)."""
     drawn = []
     build = mc.generator
 
     def recording(seed, *spawn_key):
-        drawn.append((int(seed), spawn_key))
+        key = (int(seed), tuple(int(k) for k in spawn_key))
+        if key not in drawn:
+            drawn.append(key)
         return build(seed, *spawn_key)
 
     monkeypatch.setattr(mc, "generator", recording)
@@ -111,10 +114,14 @@ def test_manifest_stream_ids_are_the_drawn_substreams(tmp_path, monkeypatch,
     assert _run(argv + ["--out", out]) == 0
     streams = _read_manifest(out)["stream_ids"]
     assert drawn
+    listed = []
     for ids in streams.values():
-        parsed = [(int(seed), tuple(map(int, key)))
-                  for seed, *key in (sid.split(":")[1:] for sid in ids)]
-        assert parsed == drawn
+        if ids not in listed:
+            listed.append(ids)
+    parsed = [(int(seed), tuple(map(int, key)))
+              for ids in listed for seed, *key in (sid.split(":")[1:]
+                                                   for sid in ids)]
+    assert parsed == drawn
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,6 +158,9 @@ def test_estimate_constant_config_errors_exit_2(tmp_path, capsys, argv):
     ["double-sum", "--u", "3", "--n-schedule", "0.01", "--n-sims", "200"],
     ["run-experiment", "--u", "2.5", "--x-grid", "0,1", "--target-s", "0.01",
      "--n-conditioned", "50", "--target-samples", "200"],
+    ["run-experiment", "--u", "1e-300", "--x-grid", "0,1", "--n-conditioned",
+     "50", "--sim-batch", "2000", "--max-sims", "20000", "--target-samples",
+     "200"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
     """Schedules, windows and blocks that cannot hold a sample, and numbers
@@ -241,6 +251,8 @@ def test_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("layer", [
     {"n_samples": None}, {"n_samples": "abc"}, {"n_samples": [1]},
     {"x": float("nan")}, {"seed": -1}, {"method": "fast"},
+    {"n_grid": 64.9}, {"n_grid": True}, {"refine_check": "maybe"},
+    {"refine_check": 2},
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, layer):
     """A config file value goes through the same checks as an environment
@@ -275,12 +287,45 @@ def test_seed_is_drawn_and_recorded_when_omitted(tmp_path):
 
 
 def test_run_experiment_numeric_failure_exit_code(tmp_path, capsys):
-    rc = _run(["run-experiment", "--u", "40", "--x-grid", "0,1",
-               "--max-sims", "5000", "--sim-batch", "5000",
+    """A rejection family that keeps nothing at its level exits 3."""
+    rc = _run(["run-experiment", "--family", "queue", "--u", "40",
+               "--x-grid", "0,1", "--max-sims", "500", "--sim-batch", "500",
                "--target-samples", "2000", "--seed", "1",
                "--out", str(tmp_path / "nf")])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_run_experiment_high_level_table(tmp_path):
+    """stationary-1d at u=40, far past any rejection budget, still writes
+    a valid table."""
+    out = str(tmp_path / "hi")
+    rc = _run(["run-experiment", "--u", "40", "--x-grid", "0,1,2",
+               "--n-conditioned", "100", "--target-samples", "1000",
+               "--seed", "1", "--out", out])
+    assert rc == 0
+    _, rows = _read_csv(os.path.join(out, "experiment.csv"))
+    ratios = [float(r["ratio_hat"]) for r in rows]
+    assert ratios[0] == 1.0
+    assert ratios == sorted(ratios, reverse=True)
+    assert all(float(r["ci_lo"]) <= float(r["ratio_hat"]) <= float(r["ci_hi"])
+               for r in rows)
+
+
+def test_run_experiment_table_is_worker_invariant(tmp_path):
+    """The importance sampler's chunks and the target curve run in a pool
+    at --workers 2 and write the same bytes as one process."""
+    argv = ["run-experiment", "--family", "chi", "--chi-m", "2",
+            "--u", "2.5,3.0", "--x-grid", "0,1,2", "--n-conditioned", "600",
+            "--sim-batch", "512", "--target-samples", "3000", "--seed", "4"]
+    tables = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert _run(argv + ["--workers", workers, "--out", out]) == 0
+        assert len(_read_manifest(out)["stream_ids"]["u=2.5"]) > 1
+        with open(os.path.join(out, "experiment.csv"), "rb") as fh:
+            tables.append(fh.read())
+    assert tables[0] == tables[1]
 
 
 def test_run_experiment_queue_horizon_note(tmp_path, capsys):

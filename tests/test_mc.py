@@ -155,6 +155,37 @@ def test_chunked_mean_one_chunk_se():
         mc.chunked_mean(_kernel, 1, seed=6, params={"s": 1.0})
 
 
+def test_chunked_mean_one_chunk_runs_without_a_pool(monkeypatch):
+    """A single chunk runs in-process whatever workers is, with the same
+    bits as workers=1."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk call started a process pool")
+
+    one = mc.chunked_mean(_vec_kernel, 3000, seed=5, width=3, chunk_size=4096)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    two = mc.chunked_mean(_vec_kernel, 3000, seed=5, width=3, chunk_size=4096,
+                          workers=2)
+    assert one[2] == two[2] == 1
+    assert one[0].tobytes() == two[0].tobytes()
+    assert one[1].tobytes() == two[1].tobytes()
+
+
+def test_ratio_se_matches_the_delta_method():
+    """The polarisation rule gives the delta-method SE of a ratio of two
+    column means of one sample."""
+    rng = np.random.default_rng(0)
+    den = rng.random(10_000) + 0.5
+    num = den * (rng.random(10_000) < 0.3)
+    n = num.size
+    cols = [num, den, num + den]
+    se = [c.std(ddof=1) / np.sqrt(n) for c in cols]
+    ratio, ratio_se = mc.ratio_se(num.mean(), den.mean(), *se)
+    resid = num - ratio * den
+    assert ratio == num.mean() / den.mean()
+    assert np.isclose(ratio_se, resid.std(ddof=1) / np.sqrt(n) / den.mean(),
+                      rtol=1e-6)
+
+
 def test_fit_line_rejects_non_finite_se():
     with pytest.raises(mc.NumericFailure):
         mc.fit_line([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, np.nan, 0.1])

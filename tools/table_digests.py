@@ -1,9 +1,10 @@
 """Print a SHA-256 digest of every CLI table in a fixed set of runs.
 
 Runs the README's CLI examples, the manifest-replay configurations of
-acceptance criterion 9, the argv of both benchmark workloads and a few runs
+acceptance criterion 9, the argv of both benchmark workloads, a few runs
 that reach the remaining path synthesis routes, estimator branches and
-experiment families, each at a fixed seed, through `sojournlab.cli.main`
+experiment families, and one README run again at another worker count,
+each at a fixed seed, through `sojournlab.cli.main`
 into a temporary directory. For each run it prints one line,
 `<sha256 of the table>  <argv>`. Two checkouts
 that print the same lines write the same tables byte for byte, so a change
@@ -127,8 +128,15 @@ FAMILIES = [
     "--target-samples 2000 --seed 23",
 ]
 
+# the chi README run again at --workers 2: the worker count never moves a
+# byte, so its digest must equal that of the README line
+WORKERS = [
+    "run-experiment --family chi --chi-m 2 --u 2.5,3.0,3.5 --seed 3 "
+    "--workers 2",
+]
+
 RUNS = (README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
-        + FAMILIES)
+        + FAMILIES + WORKERS)
 
 
 def table_digest(argv, out):
