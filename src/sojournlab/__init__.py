@@ -13,8 +13,7 @@ from .gaussim import (Chi, DriftSpec, FbmW, GridSpec, Lattice2D, Queue,
 from .sojourn import (LevelResult, batch_levels, batch_levels_in_place,
                       level_for_sojourn, level_rank, reduction_quadrature)
 from .mc import (DEFAULT_CHUNK, ConfigError, LineFit, NumericFailure,
-                 chunked_mean, derive_seed, fit_line, generator, stream_ids,
-                 wilson_interval)
+                 chunked_mean, derive_seed, fit_line, generator, stream_ids)
 from .berman import (DEFAULT_LIMIT_SCHEDULE, ConstantEstimate,
                      berman_curve_1d, berman_curve_2d,
                      brownian_sup_oracle, estimate_berman_1d,

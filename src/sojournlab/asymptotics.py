@@ -105,9 +105,7 @@ class ExperimentSettings:
     scale, so the lattice geometry is identical across levels u after
     rescaling; target curves are built at the same rescaled pitch so the two
     sides of the comparison discretize the sojourn functional identically.
-    sim_batch and max_sims are the batch size and the cap on simulations of
-    a rejection loop; for an importance-sampled family they are the chunk
-    size and the cap on draws.
+    sim_batch is the sampler's chunk size and max_sims its cap on draws.
     """
     domain_T: float = 1.0
     domain_T2: float = 1.0
@@ -250,12 +248,11 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
     Every x column comes from the same replicates, so the empirical curve
     is exactly nonincreasing with ratio 1 at x = 0.
 
-    StationaryExp1D and Chi are importance sampled (`_importance_conditioned`):
-    n_target_conditioned is then a Kish effective sample size, reached
-    unless settings.max_sims draws come first, and n_conditioned reports it.
-    StationaryExp2D, ScaledVariance2D (variance peak at the origin) and
-    Queue keep the replicates whose grid maximum exceeds u, until
-    n_target_conditioned are kept or max_sims are simulated.
+    n_target_conditioned is a Kish effective sample size, reached unless
+    settings.max_sims draws come first, and n_conditioned reports it
+    (`_sampled_curve`); for a sampler with 0/1 weights it is the number of
+    replicates kept. The interval is the ratio +- Z95 delta-method SEs,
+    clipped to [0, 1]. A level that keeps nothing is a NumericFailure.
 
     target is a TargetCurve for this family, settings and x grid; when None
     the curve is drawn from derive_seed(seed, 0x7A). metadata["stream_ids"]
@@ -274,13 +271,10 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
         raise mc.ConfigError(f"the target curve covers x = {target.x_grid}, "
                              f"not {tuple(xg_kept)}")
 
-    if isinstance(family, (StationaryExp1D, Chi)):
-        ratio, ci_lo, ci_hi, n_cond, meta = _importance_conditioned(
-            family, settings, u, v_u, xg_kept, n_target_conditioned, seed,
-            workers)
-    else:
-        ratio, ci_lo, ci_hi, n_cond, meta = _rejection_conditioned(
-            family, settings, u, v_u, xg_kept, n_target_conditioned, seed)
+    kernel, params, grid_meta = _sampler(family, settings, u, v_u, xg_kept)
+    ratio, ci_lo, ci_hi, n_cond, meta = _sampled_curve(
+        kernel, params, settings, n_target_conditioned, seed, workers)
+    meta.update(grid_meta)
 
     flags = []
     if n_cond < MIN_CONFIDENT_CONDITIONED:
@@ -309,74 +303,127 @@ def conditional_sojourn_cdf(family, settings, u, x_grid,
                             tuple(flags), meta)
 
 
-def _importance_conditioned(family, settings, u, v_u, xg, n_target, seed,
-                            workers):
-    """Conditional curve of a StationaryExp1D or Chi family by the mixture
-    of tilts (Adler, Blanchet & Liu 2012; Shi, Siegmund & Yakir 2007).
+def _sampler(family, settings, u, v_u, xg):
+    """(kernel, params, grid metadata) of the family's sampler at level u.
 
-    Each draw picks an anchor node tau uniformly, draws the field at tau
-    from its tail above u and the rest of the path conditionally on it, and
-    carries the weight w = 1 / N_u, with N_u the number of nodes above u.
-    Then E[w 1{A}] / E[w] = P(A | max > u) for any event A, and
-    n_points * P(field(tau) > u) * E[w] = P(max > u). The kernel's columns
-    are w 1{delta N_u > v(u) x_j}, whose x = 0 column is w itself, and
-    each of them plus w, which gives the ratio's delta-method standard
-    error by polarisation.
+    StationaryExp1D and Chi draw the mixture of tilts (_anchored_kernel).
+    StationaryExp2D, ScaledVariance2D (a lattice centred on its variance
+    peak) and Queue draw the unconditioned field (_exceedance_kernel).
+    Every grid has points_per_v nodes per local scale; params["cell"] is
+    the volume of one node and params["mass"] turns E[w] into P(max > u).
+    """
+    ppv = settings.points_per_v
+    params = {"spec": family, "u": u, "thresholds": v_u * np.asarray(xg)}
+    if isinstance(family, (StationaryExp1D, Chi)):
+        delta = v_u / ppv
+        n_pts = int(math.ceil(settings.domain_T / delta)) + 1
+        base = family.base if isinstance(family, Chi) else family
+        lags = np.abs(np.arange(1 - n_pts, n_pts)) * delta
+        if isinstance(family, Chi):
+            tail = float(gammaincc(family.m / 2.0, u * u / 2.0))
+            if not tail > 0.0:
+                raise mc.NumericFailure(f"the chi_{family.m} tail above "
+                                        f"u={u:g} underflows; lower u")
+        else:
+            tail = normal_tail(u)
+        params.update(n_points=n_pts, delta=delta, cell=delta,
+                      corr=np.exp(-base.a * lags ** base.alpha), tail=tail,
+                      log_tail=float(log_ndtr(-u)), mass=n_pts * tail)
+        return _anchored_kernel, params, {
+            "domain_volume": (n_pts - 1) * delta, "delta": delta,
+            "n_points": n_pts}
+
+    params["mass"] = 1.0
+    if isinstance(family, Queue):
+        delta = v_u / ppv
+        horizon = settings.queue_T if settings.queue_T is not None \
+            else family.c * settings.queue_M
+        n_pts = int(round(horizon * ppv)) + 1
+        params.update(n_points=n_pts, delta=delta, cell=delta)
+        return _exceedance_kernel, params, {
+            "domain_volume": (n_pts - 1) * delta, "delta": delta,
+            "n_points": n_pts, "horizon_T_u": (n_pts - 1) * delta}
+
+    d1, d2 = (e / ppv for e in _axis_scales(family, u))
+    if isinstance(family, StationaryExp2D):
+        n1 = int(math.ceil(settings.domain_T / d1)) + 1
+        n2 = int(math.ceil(settings.domain_T2 / d2)) + 1
+        lat = Lattice2D(GridSpec(0.0, (n1 - 1) * d1, n1),
+                        GridSpec(0.0, (n2 - 1) * d2, n2))
+    else:
+        h1 = int(math.ceil(settings.domain_T / d1))
+        h2 = int(math.ceil(settings.domain_T2 / d2))
+        lat = Lattice2D(GridSpec(-h1 * d1, h1 * d1, 2 * h1 + 1),
+                        GridSpec(-h2 * d2, h2 * d2, 2 * h2 + 1))
+        params["sigma"] = family.sigma(lat.axis1.times()[:, None],
+                                       lat.axis2.times()[None, :])
+    n1, n2 = lat.axis1.n_points, lat.axis2.n_points
+    params.update(lattice=lat, cell=d1 * d2)
+    return _exceedance_kernel, params, {
+        "domain_volume": (n1 - 1) * d1 * (n2 - 1) * d2, "delta": (d1, d2),
+        "n_points": (n1, n2)}
+
+
+def _sampled_curve(kernel, params, settings, n_target, seed, workers):
+    """Conditional curve from draws whose kernel columns are
+    w 1{Vol > v(u) x_j} for each x_j (the x = 0 column is w itself), then
+    each of them plus w, with weights such that E[w 1{A}] / E[w] =
+    P(A | max > u) for any event A and params["mass"] E[w] = P(max > u).
+    The ratio's delta-method standard error comes by polarisation, and the
+    interval is ratio +- Z95 SE, clipped to [0, 1].
 
     The draws run through mc.chunked_mean in chunks of settings.sim_batch.
     A pilot pass of PILOT_DRAWS sizes the run so the Kish effective sample
     size (sum w)^2 / sum w^2 reaches n_target; a run that falls short is
     resized from its own effective share, until settings.max_sims draws.
-    Every pass is a pure function of (seed, draws, sim_batch), so the
-    result does not depend on workers.
+    With the 0/1 weights of _exceedance_kernel the effective sample size is
+    the kept count, taken exactly. Every pass is a pure function of (seed,
+    draws, sim_batch), so the result does not depend on workers.
     """
-    delta = v_u / settings.points_per_v
-    n_pts = int(math.ceil(settings.domain_T / delta)) + 1
-    base = family.base if isinstance(family, Chi) else family
-    lags = np.abs(np.arange(1 - n_pts, n_pts)) * delta
-    if isinstance(family, Chi):
-        tail = float(gammaincc(family.m / 2.0, u * u / 2.0))
-        if not tail > 0.0:
-            raise mc.NumericFailure(
-                f"the chi_{family.m} tail above u={u:g} underflows; lower u")
-    else:
-        tail = normal_tail(u)
-    k = len(xg)
-    params = {"spec": family, "u": u, "n_points": n_pts, "delta": delta,
-              "corr": np.exp(-base.a * lags ** base.alpha), "tail": tail,
-              "log_tail": float(log_ndtr(-u)),
-              "thresholds": v_u * np.asarray(xg)}
+    k = len(params["thresholds"])
     sub = mc.derive_seed(seed, 0xE)
     n = min(PILOT_DRAWS, settings.max_sims)
     while True:
         mean, se, n_chunks = mc.chunked_mean(
-            _anchored_kernel, n, sub, params, width=2 * k,
+            kernel, n, sub, params, width=2 * k,
             chunk_size=settings.sim_batch, workers=workers)
-        ess = n * mean[0] ** 2 / ((n - 1) * se[0] ** 2 + mean[0] ** 2)
+        if kernel is _exceedance_kernel:  # exact, so a hit is never missed
+            ess = round(n * mean[0])
+        else:
+            ess = n * mean[0] ** 2 / ((n - 1) * se[0] ** 2 + mean[0] ** 2)
         if ess >= n_target or n == settings.max_sims:
             break
-        grow = int(n * n_target / ess * ESS_MARGIN)  # in whole row blocks
+        # a pass that kept nothing grows as if it had kept one
+        grow = int(n * n_target / max(ess, 1) * ESS_MARGIN)
         n = min(settings.max_sims, -(-grow // mc.ROW_BLOCK) * mc.ROW_BLOCK)
+    if mean[0] == 0.0:
+        raise mc.NumericFailure(
+            f"no replicates with sup > {params['u']} in {n} simulations; "
+            "lower u or raise max_sims")
 
     ratio, ratio_se = mc.ratio_se(mean[:k], mean[0], se[:k], se[0], se[k:])
     ci_lo = np.clip(ratio - mc.Z95 * ratio_se, 0.0, 1.0)
     ci_hi = np.clip(ratio + mc.Z95 * ratio_se, 0.0, 1.0)
     meta = {"n_sims": n, "ess": float(ess),
-            "p_exceed": n_pts * tail * float(mean[0]),
-            "p_exceed_se": n_pts * tail * float(se[0]),
-            "domain_volume": (n_pts - 1) * delta, "delta": delta,
-            "n_points": n_pts, "stream_ids": mc.stream_ids(sub, n_chunks)}
+            "p_exceed": params["mass"] * float(mean[0]),
+            "p_exceed_se": params["mass"] * float(se[0]),
+            "stream_ids": mc.stream_ids(sub, n_chunks)}
     return ratio, ci_lo, ci_hi, int(ess), meta
 
 
 def _anchored_kernel(rng, m, p):
-    """m mixture-of-tilts draws (see _importance_conditioned): columns
-    w 1{delta N_u > v(u) x_j} for each x_j, then each of them plus w.
+    """m mixture-of-tilts draws (Adler, Blanchet & Liu 2012; Shi, Siegmund
+    & Yakir 2007) of a StationaryExp1D or Chi path, with the columns of
+    _sampled_curve.
 
-    A path conditioned on its value c at tau is Y - Y(tau) r(. - tau)
-    + c r(. - tau), with Y unconditioned and r the correlation; the anchor
-    node keeps exactly c. A chi anchor draws its norm from the chi_m tail
-    above u and its direction uniformly, and conditions each component.
+    Each draw picks an anchor node tau uniformly, draws the field at tau
+    from its tail above u and the rest of the path conditionally on it, and
+    carries the weight w = 1 / N_u, with N_u the number of nodes above u;
+    then E[w] n_points P(field(tau) > u) = P(max > u). A path conditioned
+    on its value c at tau is Y - Y(tau) r(. - tau) + c r(. - tau), with Y
+    unconditioned and r the correlation; the anchor node keeps exactly c.
+    A chi anchor draws its norm from the chi_m tail above u and its
+    direction uniformly, and conditions each component.
     """
     spec, u, n = p["spec"], p["u"], p["n_points"]
     tau = rng.integers(n, size=m)
@@ -401,9 +448,7 @@ def _anchored_kernel(rng, m, p):
     # the anchor exceeds u by construction; the floor covers an anchor drawn
     # at u itself and a chi norm rounded down to it
     n_u = np.maximum((field > u).sum(axis=1), 1)
-    w = 1.0 / n_u
-    cols = w[:, None] * (p["delta"] * n_u[:, None] > p["thresholds"])
-    return np.concatenate([cols, cols + w[:, None]], axis=1)
+    return _columns(1.0 / n_u, p["cell"] * n_u, p["thresholds"])
 
 
 def _conditioned(rng, m, spec, p, r, tau, anchor):
@@ -415,81 +460,29 @@ def _conditioned(rng, m, spec, p, r, tau, anchor):
     return y
 
 
-def _rejection_conditioned(family, settings, u, v_u, xg, n_target, seed):
-    """Conditional curve by rejection: simulate until n_target replicates
-    with grid maximum above u are kept or settings.max_sims are simulated;
-    Wilson intervals."""
-    rejection_seed = mc.derive_seed(seed, 0xE)
-    rng = mc.generator(rejection_seed)
-    sampler, vol_step, domain_vol, grid_meta = _family_sampler(
-        family, settings, u, settings.points_per_v)
-    vols = []
-    n_sims = 0
-    while sum(len(v) for v in vols) < n_target and n_sims < settings.max_sims:
-        m = min(settings.sim_batch, settings.max_sims - n_sims)
-        cnt = sampler(rng, m)
-        vols.append(vol_step * cnt[cnt > 0])
-        n_sims += m
-    vols = np.concatenate(vols)
-    n_cond = vols.size
-    if n_cond == 0:
-        raise mc.NumericFailure(
-            f"no replicates with sup > {u} in {n_sims} simulations; "
-            "lower u or raise max_sims")
-    counts = np.array([(vols > v_u * x).sum() for x in xg])
-    ci_lo = np.empty(len(xg))
-    ci_hi = np.empty(len(xg))
-    for j, c in enumerate(counts):
-        ci_lo[j], ci_hi[j] = mc.wilson_interval(int(c), n_cond)
-    meta = {"n_sims": n_sims, "domain_volume": domain_vol,
-            "stream_ids": [mc.stream_id(rejection_seed)], **grid_meta}
-    return counts / n_cond, ci_lo, ci_hi, n_cond, meta
+def _exceedance_kernel(rng, m, p):
+    """m unconditioned draws of a StationaryExp2D, ScaledVariance2D or
+    Queue field, with the columns of _sampled_curve for the weight
+    w = 1{N_u > 0}, N_u the number of nodes above u: rejection sampling,
+    with E[w] = P(max > u)."""
+    spec, u = p["spec"], p["u"]
+    if isinstance(spec, Queue):
+        f = queue_batch(rng, m, spec, p["n_points"], p["delta"], u_ref=u)
+    elif isinstance(spec, ScaledVariance2D):
+        f = stationary2d_batch(rng, m, spec.base, p["lattice"])
+        f *= p["sigma"]
+    else:
+        f = stationary2d_batch(rng, m, spec, p["lattice"])
+    n_u = (f > u).sum(axis=tuple(range(1, f.ndim)))
+    return _columns((n_u > 0).astype(float), p["cell"] * n_u,
+                    p["thresholds"])
 
 
-def _family_sampler(family, settings, u, ppv):
-    """Per-family closure returning exceedance-node counts per replicate."""
-    if isinstance(family, StationaryExp2D):
-        d1, d2 = (e / ppv for e in _axis_scales(family, u))
-        n1 = int(math.ceil(settings.domain_T / d1)) + 1
-        n2 = int(math.ceil(settings.domain_T2 / d2)) + 1
-        lat = Lattice2D(GridSpec(0.0, (n1 - 1) * d1, n1),
-                        GridSpec(0.0, (n2 - 1) * d2, n2))
-
-        def sampler(rng, m):
-            f = stationary2d_batch(rng, m, family, lat)
-            return (f > u).sum(axis=(1, 2))
-        return sampler, d1 * d2, (n1 - 1) * d1 * (n2 - 1) * d2, \
-            {"delta": (d1, d2), "n_points": (n1, n2)}
-
-    if isinstance(family, ScaledVariance2D):
-        # the lattice is centred on the variance peak at the origin
-        d1, d2 = (e / ppv for e in _axis_scales(family, u))
-        h1 = int(math.ceil(settings.domain_T / d1))
-        h2 = int(math.ceil(settings.domain_T2 / d2))
-        lat = Lattice2D(GridSpec(-h1 * d1, h1 * d1, 2 * h1 + 1),
-                        GridSpec(-h2 * d2, h2 * d2, 2 * h2 + 1))
-        s = family.sigma(lat.axis1.times()[:, None],
-                         lat.axis2.times()[None, :])
-
-        def sampler(rng, m):
-            f = s[None, :, :] * stationary2d_batch(rng, m, family.base, lat)
-            return (f > u).sum(axis=(1, 2))
-        return sampler, d1 * d2, 2 * h1 * d1 * 2 * h2 * d2, \
-            {"delta": (d1, d2), "n_points": (2 * h1 + 1, 2 * h2 + 1)}
-
-    if isinstance(family, Queue):
-        delta = scaling_function(family, u) / ppv
-        horizon = settings.queue_T if settings.queue_T is not None \
-            else family.c * settings.queue_M
-        n_pts = int(round(horizon * ppv)) + 1
-
-        def sampler(rng, m):
-            q = queue_batch(rng, m, family, n_pts, delta, u_ref=u)
-            return (q > u).sum(axis=1)
-        return sampler, delta, (n_pts - 1) * delta, \
-            {"delta": delta, "n_points": n_pts, "horizon_T_u": (n_pts - 1) * delta}
-
-    raise TypeError(f"unknown experiment family {type(family).__name__}")
+def _columns(w, vol, thresholds):
+    """Per draw, w 1{vol > v(u) x_j} for each threshold v(u) x_j, then each
+    of them plus w."""
+    cols = w[:, None] * (vol[:, None] > thresholds)
+    return np.concatenate([cols, cols + w[:, None]], axis=1)
 
 
 # ---------------------------------------------------------------------------

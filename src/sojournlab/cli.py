@@ -131,14 +131,14 @@ SUBCOMMAND_OPTS = {
         Opt("beta2", float, 2.0, "axis-2 variance-decay exponent (one-point)"),
         Opt("chi_m", int, 1, "chi degree"),
         Opt("c", float, 1.0, "queue service rate"),
-        Opt("n_conditioned", int, 1000, "conditioned replicates per level "
-            "(an effective sample size for stationary-1d and chi)"),
+        Opt("n_conditioned", int, 1000, "effective conditioned sample size "
+            "per level (sum w)^2 / sum w^2; the kept count where w is 0/1"),
         Opt("domain_t", float, 1.0, "observation window, axis 1"),
         Opt("domain_t2", float, 1.0, "observation window, axis 2"),
         Opt("points_per_v", int, 8, "grid nodes per local-scale unit"),
-        Opt("sim_batch", int, 20_000, "simulated replicates per batch (per "
-            "chunk for stationary-1d and chi)"),
-        Opt("max_sims", int, 8_000_000, "hard cap on simulated replicates"),
+        Opt("sim_batch", int, 20_000, "simulated replicates per chunk"),
+        Opt("max_sims", int, 8_000_000, "cap on simulated replicates per "
+            "level"),
         Opt("target_s", float, 256.0, "domain for 1D long-run target curves"),
         Opt("target_s_2d", float, 8.0, "domain for 2D target curves"),
         Opt("target_samples", int, 100_000, "samples for target curves"),
@@ -161,7 +161,7 @@ SUBCOMMAND_OPTS = {
         Opt("domain_t", float, 1.0, "observation window, axis 1"),
         Opt("domain_t2", float, 1.0, "observation window, axis 2"),
         Opt("points_per_v", int, 8, "grid nodes per local-scale unit"),
-        Opt("sim_batch", int, 20_000, "simulated replicates per batch"),
+        Opt("sim_batch", int, 20_000, "simulated replicates per chunk"),
     ],
     "oracle": [
         Opt("family", str, "parabola-sojourn", "closed-form family",
@@ -404,11 +404,11 @@ def build_parser():
         sp.add_argument("--from-manifest", default=None,
                         help="replay the configuration of a recorded manifest")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the Monte Carlo chunks of "
-                             "estimate-constant, convergence, double-sum and "
-                             "run-experiment (whose stationary-2d, "
-                             "one-point-2d and queue rejection loops run in "
-                             "one process); no effect on oracle")
+                        help="worker processes (>= 1) for the Monte Carlo "
+                             "chunks of estimate-constant, convergence, "
+                             "double-sum and run-experiment; no effect on "
+                             "oracle. The 2-D lattice routes run fastest at "
+                             "1 unless BLAS is limited to one thread")
         sp.add_argument("--out", default="sojournlab-out",
                         help="output directory")
         for opt in SEMANTIC_GLOBALS + opts:
@@ -469,6 +469,8 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     sub = ns.subcommand
     try:
+        if ns.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {ns.workers}")
         cfg = resolve_config(sub, ns)
         t0 = time.perf_counter()
         header, rows, flags, streams = RUNNERS[sub](cfg, ns.workers)

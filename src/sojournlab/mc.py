@@ -118,7 +118,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     samples, so column estimates share the per-path randomness (exact
     pathwise monotonicity across columns is preserved when the kernel
     guarantees it). Returns (mean, se, n_chunks), with mean and se arrays of
-    length width when width is given. A single chunk runs in-process
+    length width when width is given. The chunks run in a pool of
+    min(workers, n_chunks) processes; a single chunk runs in-process
     whatever workers is.
     """
     n_samples = int(n_samples)
@@ -136,7 +137,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
     sums = np.empty(shape)
     sqs = np.empty(shape)
     if workers and workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=min(int(workers),
+                                                 n_chunks)) as pool:
             futs = [pool.submit(_run_chunk, kernel, seed, k, sizes[k], params, width)
                     for k in range(n_chunks)]
             for k, fut in enumerate(futs):
@@ -162,21 +164,6 @@ def ratio_se(num, den, se_num, se_den, se_sum):
     se = np.sqrt(np.maximum(se_num ** 2 - 2.0 * ratio * cov
                             + ratio ** 2 * se_den ** 2, 0.0)) / den
     return ratio, se
-
-
-def wilson_interval(k, n, z=Z95):
-    """Wilson score interval for a binomial proportion.
-
-    Each end is clamped so that the interval contains k/n: at k = 0 and
-    k = n rounding would otherwise leave the estimate just outside it.
-    """
-    if n <= 0:
-        return 0.0, 1.0
-    p = k / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
 LineFit = namedtuple("LineFit", "slope intercept slope_se intercept_se residuals")

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sojournlab import mc
+from sojournlab import asymptotics, mc
 from sojournlab.asymptotics import (ExperimentResult, ExperimentSettings,
                                     _axis_table, conditional_sojourn_cdf,
                                     double_sum_diagnostic, queue_asymptotics,
                                     queue_prefactor, queue_window_exceed_mc,
                                     scaling_function, target_curve)
-from sojournlab.gaussim import (Chi, Queue, ScaledVariance2D,
-                                StationaryExp1D, StationaryExp2D, chi_batch,
-                                stationary_batch)
+from sojournlab.gaussim import (Chi, GridSpec, Lattice2D, Queue,
+                                ScaledVariance2D, StationaryExp1D,
+                                StationaryExp2D, chi_batch,
+                                stationary2d_batch, stationary_batch)
 
 
 def _one_point(a1, a2, alpha1, alpha2, b1, b2, beta1, beta2):
@@ -130,6 +131,76 @@ def test_conditional_sojourn_cdf_no_exceedance_is_a_failure():
     with pytest.raises(mc.NumericFailure):
         conditional_sojourn_cdf(Queue(1.0, 1.0), settings, 40.0,
                                 (0.0, 1.0), seed=0)
+
+
+def test_a_pass_that_keeps_nothing_resizes_to_the_cap(monkeypatch):
+    """An empty pilot pass resizes without dividing by zero, to max_sims
+    and not past it, and a level that still keeps nothing fails."""
+    passes = []
+    chunked_mean = mc.chunked_mean
+
+    def recording(kernel, n_samples, *args, **kwargs):
+        passes.append(n_samples)
+        return chunked_mean(kernel, n_samples, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "chunked_mean", recording)
+    settings = ExperimentSettings(target_samples=1000, sim_batch=500,
+                                  max_sims=2500)
+    with pytest.raises(mc.NumericFailure):
+        conditional_sojourn_cdf(Queue(1.0, 1.0), settings, 40.0,
+                                (0.0, 1.0), seed=0)
+    assert passes == [1024, 2500]
+
+
+def test_rejection_n_conditioned_is_the_kept_count():
+    """With 0/1 weights the effective sample size is exactly the number of
+    replicates whose grid maximum exceeds u, recounted here from the
+    run's own substreams in its row blocks."""
+    settings = ExperimentSettings(target_samples=1000, sim_batch=700)
+    fam, u = StationaryExp2D(1.0, 1.0, 1.0, 1.0), 2.5
+    res = conditional_sojourn_cdf(fam, settings, u, (0.0, 0.5), 300, seed=8)
+    (n1, n2), (d1, d2) = res.metadata["n_points"], res.metadata["delta"]
+    lat = Lattice2D(GridSpec(0.0, (n1 - 1) * d1, n1),
+                    GridSpec(0.0, (n2 - 1) * d2, n2))
+    sub, n = mc.derive_seed(8, 0xE), res.metadata["n_sims"]
+    kept = 0
+    for k, start in enumerate(range(0, n, settings.sim_batch)):
+        rng = mc.generator(sub, k)
+        chunk_n = min(settings.sim_batch, n - start)
+        for i in range(0, chunk_n, mc.ROW_BLOCK):
+            f = stationary2d_batch(rng, min(mc.ROW_BLOCK, chunk_n - i), fam,
+                                   lat)
+            kept += int((f.max(axis=(1, 2)) > u).sum())
+    assert res.n_conditioned == kept >= 300
+    assert res.metadata["ess"] == kept
+    assert res.metadata["p_exceed"] == pytest.approx(kept / n, rel=1e-12)
+
+
+def test_rejection_draws_stay_in_row_blocks(monkeypatch):
+    """At the default sim_batch no 2-D lattice or queue batch is drawn
+    with more than mc.ROW_BLOCK rows, so memory does not grow with the
+    chunk size."""
+    rows = []
+
+    def recording(batch):
+        def draw(rng, m, *args, **kwargs):
+            rows.append(m)
+            return batch(rng, m, *args, **kwargs)
+        return draw
+
+    for name in ("stationary2d_batch", "queue_batch"):
+        monkeypatch.setattr(asymptotics, name,
+                            recording(getattr(asymptotics, name)))
+    settings = ExperimentSettings(target_samples=500)
+    assert settings.sim_batch > mc.ROW_BLOCK
+    for fam in (StationaryExp2D(1.0, 1.0, 1.0, 1.0),
+                _one_point(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0),
+                Queue(1.0, 1.0)):
+        count = len(rows)
+        res = conditional_sojourn_cdf(fam, settings, 2.5, (0.0, 0.5), 50,
+                                      seed=2)
+        assert sum(rows[count:]) == res.metadata["n_sims"]
+    assert max(rows) == mc.ROW_BLOCK
 
 
 def test_conditional_chi_tail_underflow_is_a_failure():

@@ -312,20 +312,45 @@ def test_run_experiment_high_level_table(tmp_path):
                for r in rows)
 
 
+def _worker_tables(tmp_path, argv, level):
+    """The experiment tables of argv at --workers 1 and 2; the level's
+    sampler must draw more than one chunk, so the pool is used."""
+    tables = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert _run(argv + ["--workers", workers, "--out", out]) == 0
+        assert len(_read_manifest(out)["stream_ids"][level]) > 1
+        with open(os.path.join(out, "experiment.csv"), "rb") as fh:
+            tables.append(fh.read())
+    return tables
+
+
 def test_run_experiment_table_is_worker_invariant(tmp_path):
     """The importance sampler's chunks and the target curve run in a pool
     at --workers 2 and write the same bytes as one process."""
     argv = ["run-experiment", "--family", "chi", "--chi-m", "2",
             "--u", "2.5,3.0", "--x-grid", "0,1,2", "--n-conditioned", "600",
             "--sim-batch", "512", "--target-samples", "3000", "--seed", "4"]
-    tables = []
-    for workers in ("1", "2"):
-        out = str(tmp_path / workers)
-        assert _run(argv + ["--workers", workers, "--out", out]) == 0
-        assert len(_read_manifest(out)["stream_ids"]["u=2.5"]) > 1
-        with open(os.path.join(out, "experiment.csv"), "rb") as fh:
-            tables.append(fh.read())
+    tables = _worker_tables(tmp_path, argv, "u=2.5")
     assert tables[0] == tables[1]
+
+
+def test_run_experiment_queue_table_is_worker_invariant(tmp_path):
+    """A rejection family's chunks run in the same pool, with the same
+    bytes at --workers 1 and 2."""
+    argv = ["run-experiment", "--family", "queue", "--u", "1.5,2.0",
+            "--x-grid", "0,0.5,1", "--n-conditioned", "300",
+            "--sim-batch", "512", "--target-samples", "2000", "--seed", "25"]
+    tables = _worker_tables(tmp_path, argv, "u=1.5")
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
+    out = str(tmp_path / "w")
+    assert _run(["oracle", "--workers", workers, "--out", out]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_run_experiment_queue_horizon_note(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pathlib
 import re
 
@@ -101,26 +102,6 @@ def test_stream_ids_shape():
     assert ids == mc.stream_ids(17, 5)
 
 
-def test_wilson_interval_endpoints():
-    lo, hi = mc.wilson_interval(0, 100)
-    assert lo < 1e-12
-    assert 0.0 < hi < 0.05
-    lo, hi = mc.wilson_interval(100, 100)
-    assert 0.95 < lo < 1.0
-    assert hi >= 1.0 - 1e-12
-    lo, hi = mc.wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    assert mc.wilson_interval(0, 0) == (0.0, 1.0)
-
-
-def test_wilson_interval_contains_its_estimate():
-    """At k = 0 and k = n the ends are exactly 0 and 1, never a rounding
-    error away on the wrong side of k/n."""
-    for n in range(1, 2001):
-        assert mc.wilson_interval(0, n)[0] == 0.0, n
-        assert mc.wilson_interval(n, n)[1] == 1.0, n
-
-
 def test_fit_line_recovers_exact_line():
     xs = np.array([1.0, 2.0, 4.0, 8.0])
     ys = 3.0 - 0.5 * xs
@@ -168,6 +149,39 @@ def test_chunked_mean_one_chunk_runs_without_a_pool(monkeypatch):
     assert one[2] == two[2] == 1
     assert one[0].tobytes() == two[0].tobytes()
     assert one[1].tobytes() == two[1].tobytes()
+
+
+def test_chunked_mean_pool_is_capped_at_the_chunk_count(monkeypatch):
+    """The pool never asks for more processes than there are chunks. The
+    recording executor runs each chunk in-process and starts none."""
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    one = mc.chunked_mean(_vec_kernel, 3000, seed=5, width=3, chunk_size=1000)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+    many = mc.chunked_mean(_vec_kernel, 3000, seed=5, width=3,
+                           chunk_size=1000, workers=64)
+    few = mc.chunked_mean(_vec_kernel, 3000, seed=5, width=3,
+                          chunk_size=1000, workers=2)
+    assert asked == [3, 2]
+    for out in (many, few):
+        assert out[2] == one[2] == 3
+        assert out[0].tobytes() == one[0].tobytes()
+        assert out[1].tobytes() == one[1].tobytes()
 
 
 def test_ratio_se_matches_the_delta_method():

@@ -3,7 +3,7 @@
 Runs the README's CLI examples, the manifest-replay configurations of
 acceptance criterion 9, the argv of both benchmark workloads, a few runs
 that reach the remaining path synthesis routes, estimator branches and
-experiment families, and one README run again at another worker count,
+experiment families, and worker-count pairs whose digests must agree,
 each at a fixed seed, through `sojournlab.cli.main`
 into a temporary directory. For each run it prints one line,
 `<sha256 of the table>  <argv>`. Two checkouts
@@ -128,10 +128,17 @@ FAMILIES = [
     "--target-samples 2000 --seed 23",
 ]
 
-# the chi README run again at --workers 2: the worker count never moves a
-# byte, so its digest must equal that of the README line
+# the chi README run again at --workers 2, and a multi-chunk queue run at
+# --workers 1 and 2: the worker count never moves a byte, so the chi digest
+# must equal that of the README line and the two queue digests each other
 WORKERS = [
     "run-experiment --family chi --chi-m 2 --u 2.5,3.0,3.5 --seed 3 "
+    "--workers 2",
+    "run-experiment --family queue --u 1.5,2.0 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 512 --target-samples 2000 --seed 25 "
+    "--workers 1",
+    "run-experiment --family queue --u 1.5,2.0 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 512 --target-samples 2000 --seed 25 "
     "--workers 2",
 ]
 
