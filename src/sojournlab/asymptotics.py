@@ -26,8 +26,8 @@ from . import mc
 from .berman import berman_curve_1d, berman_curve_2d
 from .gaussim import (Chi, DriftSpec, GridSpec, Lattice2D, Queue,
                       ScaledVariance2D, StationaryExp1D, StationaryExp2D,
-                      normal_tail, queue_batch, stationary2d_batch,
-                      stationary_batch)
+                      bridge_cell_max, fbm_batch, normal_tail, queue_batch,
+                      stationary2d_batch, stationary_batch)
 
 MIN_CONFIDENT_CONDITIONED = 500
 PILOT_DRAWS = 1024  # first pass of the importance sampler, 16 row blocks
@@ -685,18 +685,13 @@ def queue_window_exceed_mc(u, c, n, n_paths=200_000, seed=0, *,
 def _queue_window_kernel(rng, m, p):
     """Conditional window-exceedance probability of m Brownian queue paths."""
     u, c, N, d = p["u"], p["c"], p["N"], p["d"]
-    inc = rng.standard_normal((m, N)) * math.sqrt(d) - c * d
-    y = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
-    a1, a2 = y[:, :-1], y[:, 1:]
-    ub = rng.random((m, N))
-    cellmax = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2
-                                       - 2.0 * d * np.log(ub)))
-    um = rng.random((m, N))
-    cellmin = 0.5 * (a1 + a2 - np.sqrt((a1 - a2) ** 2
-                                       - 2.0 * d * np.log(um)))
+    y = fbm_batch(rng, m, 1.0, N, d)
+    y -= c * (np.arange(N + 1) * d)[None, :]
+    cellmax = bridge_cell_max(rng, y, d)
+    cellmin = -bridge_cell_max(rng, -y, d)
     r = np.flip(np.maximum.accumulate(np.flip(cellmax, axis=1), axis=1),
                 axis=1)
-    d1 = (r - a1).max(axis=1)
+    d1 = (r - y[:, :-1]).max(axis=1)
     d2 = (r - cellmin).max(axis=1)
     dsup = np.maximum(np.maximum(d1, d2), 0.0)
     mw = np.minimum(cellmin.min(axis=1), 0.0)

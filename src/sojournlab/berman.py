@@ -31,7 +31,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr, roots_hermite
 
 from . import mc
-from .gaussim import DriftSpec, FbmW, fbm_batch, w_field_batch
+from .gaussim import (DriftSpec, FbmW, bridge_cell_max, fbm_batch,
+                      w_field_batch)
 from .sojourn import batch_levels_in_place
 
 SQRT2 = math.sqrt(2.0)
@@ -203,21 +204,12 @@ def _parabola_window(rng, m, length):
     return xi, lo, hi, mass
 
 
-def _tilted_window(rng, m, alpha, n_cells, d, brownian=False):
+def _tilted_window(rng, m, alpha, n_cells, d):
     """W_alpha on n_cells + 1 nodes of step d, re-anchored at a uniformly
-    drawn node: sqrt2 (B(s) - B(s_k)) - |s - s_k|^alpha. brownian=True draws
-    the alpha = 1 path from plain increments, the skeleton that the exact
-    Brownian-bridge cell suprema need."""
+    drawn node: sqrt2 (B(s) - B(s_k)) - |s - s_k|^alpha."""
     k = rng.integers(0, n_cells + 1, size=m)
-    if brownian:
-        inc = rng.standard_normal((m, n_cells))
-        inc *= math.sqrt(2.0 * d)
-        b = np.empty((m, n_cells + 1))
-        b[:, 0] = 0.0
-        np.cumsum(inc, axis=1, out=b[:, 1:])
-    else:
-        b = fbm_batch(rng, m, alpha, n_cells, d)
-        b *= SQRT2
+    b = fbm_batch(rng, m, alpha, n_cells, d)
+    b *= SQRT2
     b -= b[np.arange(m), k][:, None]
     s = (np.arange(n_cells + 1)[None, :] - k[:, None]) * d
     np.abs(s, out=s)
@@ -247,14 +239,11 @@ def _axis_sup_factor(rng, m, alpha, length, delta_skel):
         return _parabola_sup(xi, lo, hi), length / mass
     n_cells = max(int(round(length / delta_skel)), 1)
     d = length / n_cells
-    v = _tilted_window(rng, m, alpha, n_cells, d, brownian=alpha == 1.0)
+    v = _tilted_window(rng, m, alpha, n_cells, d)
     ev = np.exp(v)
     if alpha == 1.0:
         den = d * 0.5 * (ev[:, :-1] + ev[:, 1:]).sum(axis=1)
-        u = rng.random((m, n_cells))
-        a1, a2 = v[:, :-1], v[:, 1:]
-        cell = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2 - 4.0 * d * np.log(u)))
-        sup = cell.max(axis=1)
+        sup = bridge_cell_max(rng, v, 2.0 * d).max(axis=1)
     else:
         den = d * ev.sum(axis=1)
         sup = v.max(axis=1)

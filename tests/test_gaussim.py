@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ from sojournlab.gaussim import (QUEUE_LOOKAHEAD, Chi, DriftSpec, FbmW,
                                 GridSpec, Lattice2D, Queue, SamplePath,
                                 ScaledVariance2D, StationaryExp1D,
                                 StationaryExp2D, _axis_root, _fgn_eigs,
-                                _stationary_eigs, chi_batch, fbm_batch,
+                                _stationary_eigs, bridge_cell_max,
+                                chi_batch, fbm_batch,
                                 normal_tail, queue_batch, simulate_fbm,
                                 sliding_max, stationary2d_batch,
                                 stationary_batch, w_field_batch)
@@ -209,6 +211,8 @@ def _ref_circulant(rng, m, lam, n):
 
 
 def _ref_increments(rng, m, alpha, n_steps, delta):
+    if alpha == 1.0:
+        return rng.standard_normal((m, n_steps)) * math.sqrt(delta)
     return _ref_circulant(rng, m, _fgn_eigs(alpha, n_steps), n_steps) \
         * delta ** (alpha / 2.0)
 
@@ -231,6 +235,47 @@ def test_fbm_batch_matches_unfused_reference():
                                            (0, 13)):
         got = fbm_batch(_rng(m), m, alpha, 40, 0.05, pin_index=pin)
         _bitwise(got, _ref_fbm(_rng(m), m, alpha, 40, 0.05, pin))
+
+
+def test_fgn_eigs_alpha1_is_all_ones():
+    """Unit-step fGn at alpha = 1 is white noise, so its circulant spectrum
+    is exactly flat and fbm_batch may draw the increments directly."""
+    for n in (1, 2, 7, 40, 4096):
+        assert np.array_equal(_fgn_eigs(1.0, n), np.ones(2 * n))
+
+
+def _state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def test_fbm_batch_alpha1_draws_n_normals_per_row():
+    for m, n in ((1, 1), (3, 40), (64, 257)):
+        got, want = _rng(m), _rng(m)
+        fbm_batch(got, m, 1.0, n, 0.05, pin_index=n // 2)
+        want.standard_normal((m, n))
+        assert _state(got) == _state(want)
+
+
+def test_bridge_cell_max_matches_inline_formulas():
+    """One helper for the tilted window's cell suprema (variance 2d on
+    sqrt2 B) and the queue window's cell maxima and minima (variance d)."""
+    d = 0.05
+    y = fbm_batch(_rng(1), 7, 1.0, 30, d)
+    y -= 0.8 * (np.arange(31) * d)[None, :]
+    a1, a2 = y[:, :-1], y[:, 1:]
+    r = _rng(2)
+    u = r.random(a1.shape)
+    tilted = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2 - 4.0 * d * np.log(u)))
+    ub = r.random(a1.shape)
+    cellmax = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2 - 2.0 * d * np.log(ub)))
+    um = r.random(a1.shape)
+    cellmin = 0.5 * (a1 + a2 - np.sqrt((a1 - a2) ** 2 - 2.0 * d * np.log(um)))
+    r = _rng(2)
+    _bitwise(bridge_cell_max(r, y, 2.0 * d), tilted)
+    _bitwise(bridge_cell_max(r, y, d), cellmax)
+    _bitwise(-bridge_cell_max(r, -y, d), cellmin)
+    assert np.all(cellmax >= np.maximum(a1, a2))
+    assert np.all(cellmin <= np.minimum(a1, a2))
 
 
 def test_batches_match_unfused_reference():

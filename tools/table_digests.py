@@ -15,8 +15,10 @@ that should only restructure code is checked by diffing the output:
     diff before.txt after.txt
 
 A run that exits nonzero prints `exit <code>` instead of a digest, and a
-table with a nan or inf cell gets `nonfinite ` in front of its line; either
-makes the script exit 1.
+table with a nan or inf cell gets `nonfinite ` in front of its line. A
+worker-count run whose digest differs from its partner's (the chi run from
+the README, or the other queue run) adds a `workers mismatch  <argv>` line
+at the end. Any of these makes the script exit 1.
 
 Standard library only; the package is imported from the `src` directory
 next to this file. The whole set takes a few minutes on two cores.
@@ -68,7 +70,8 @@ BENCHMARK = [
 ]
 
 # path synthesis routes the runs above miss: an interior pin, the tilted
-# window, a 2D lattice and the queue paths (about 1 s together)
+# window, a 2D lattice, the queue paths, the exact Brownian-bridge window
+# sup at alpha = 1 and the alpha = 1 fBm of a plain interval run
 SYNTHESIS = [
     "estimate-constant --family plain-1d --alpha 1.5 --x 0.3 --interval=-1,1 "
     "--n-grid 257 --n-samples 4000 --seed 4",
@@ -79,6 +82,10 @@ SYNTHESIS = [
     "run-experiment --family queue --alpha 1.5 --u 1.5 --x-grid 0,0.5,1 "
     "--n-conditioned 300 --sim-batch 2000 --max-sims 200000 "
     "--target-samples 2000 --seed 10",
+    "estimate-constant --family pickands --alpha 1 --s-schedule 2,4,8 "
+    "--n-samples 2000 --seed 26",
+    "estimate-constant --family plain-1d --alpha 1 --x 0.2 --n-grid 257 "
+    "--n-samples 4000 --seed 27",
 ]
 
 # estimator branches the runs above miss: 2D axis sides (confining, steep
@@ -145,6 +152,9 @@ WORKERS = [
 RUNS = (README_EXAMPLES + CRITERION_9 + BENCHMARK + SYNTHESIS + BRANCHES
         + FAMILIES + WORKERS)
 
+# runs that differ only in --workers and so must print the same digest
+SAME_TABLE = [(README_EXAMPLES[3], WORKERS[0]), (WORKERS[1], WORKERS[2])]
+
 
 def table_digest(argv, out):
     """(exit code, sha256 hex of the table, whether a cell is nan or inf) of
@@ -170,6 +180,7 @@ def _finite(cell):
 
 def main():
     failed = 0
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, line in enumerate(RUNS):
             rc, digest, nonfinite = table_digest(line.split(),
@@ -179,7 +190,12 @@ def main():
             elif nonfinite:
                 digest = "nonfinite " + digest
             failed += rc != 0 or nonfinite
+            digests[line] = digest
             print(f"{digest}  {line}", flush=True)
+    for a, b in SAME_TABLE:
+        if digests[a] != digests[b]:
+            failed += 1
+            print(f"workers mismatch  {b}", flush=True)
     return 1 if failed else 0
 
 
