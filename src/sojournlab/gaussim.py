@@ -1,11 +1,12 @@
 """Exact-in-distribution simulation of the Gaussian paths and fields used here.
 
 Fractional Brownian motion is sampled by circulant embedding of its
-stationary increments (Davies-Harte), except at alpha = 1, whose increments
-are drawn directly as iid normals, and alpha = 2, a random line; stationary
-unit-variance processes by circulant embedding of the covariance sequence
-with automatic torus padding; separable 2D fields by per-axis factorization. Everything is a pure function
-of (spec, grid, seed), so identical inputs give bitwise identical output.
+stationary increments (Davies-Harte), except at alpha = 1 (iid increments,
+drawn directly) and alpha = 2 (a random line); stationary unit-variance
+processes by circulant embedding of the covariance sequence with automatic
+torus padding; separable 2D fields by per-axis factorization. Everything is
+a pure function of (spec, grid, seed), so identical inputs give bitwise
+identical output.
 
 The circulant batches are built in place: a call fills one complex
 spectrum of (m + 1) // 2 rows, writes the requested columns of its real and
@@ -262,13 +263,9 @@ def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
 
     With pin_index = k the rows are distributed as two-sided fBm evaluated on
     the grid (j - k) * delta, j = 0..n_steps. Stationary increments make this
-    a plain re-anchoring of the same increment sequence. The increments are
-    summed in place in the returned array.
-
-    The increments are a circulant embedding of fractional Gaussian noise
-    except at two closed forms: alpha = 1, whose increments are iid and are
-    drawn directly as one (m, n_steps) block of normals, and alpha = 2, a
-    random line xi * t.
+    a plain re-anchoring of the same increment sequence. The increments,
+    circulant fGn or, at alpha = 1, one (m, n_steps) block of iid normals,
+    are summed in place in the returned array; alpha = 2 is xi * t.
     """
     if alpha == 2.0:
         xi = rng.standard_normal(m)
@@ -289,13 +286,9 @@ def fbm_batch(rng, m, alpha, n_steps, delta, pin_index=0):
 
 
 def bridge_cell_max(rng, path, var):
-    """(m, n) exact maxima over the cells of (m, n + 1) Brownian node values.
-
-    Given its two nodes, a cell of a Brownian motion with increment variance
-    var per cell (and any constant drift) is a Brownian bridge; its maximum
-    is drawn by inverting the bridge law with one uniform per cell. The
-    cell minima are -bridge_cell_max(rng, -path, var).
-    """
+    """Exact (m, n) cell maxima of (m, n + 1) Brownian nodes with variance
+    var per cell and any constant drift: one uniform per cell inverts the
+    Brownian-bridge law. The minima are -bridge_cell_max(rng, -path, var)."""
     a1, a2 = path[:, :-1], path[:, 1:]
     u = rng.random(a1.shape)
     return 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2 - 2.0 * var * np.log(u)))

@@ -158,11 +158,8 @@ def chunked_mean(kernel, n_samples, seed, params=None, width=None,
 def ratio_se(num, den, se_num, se_den, se_sum):
     """Ratio num / den of two column means of one sample, and its
     delta-method standard error. se_sum is the standard error of the
-    num + den column, which gives the covariance by polarisation.
-
-    The variance se_num^2 - 2 R cov + R^2 se_den^2 is expanded as
-    (1 + R) se_num^2 - R se_sum^2 + (R + R^2) se_den^2, so a num column
-    equal to the den column (R = 1, se_sum = 2 se_den) gets exactly 0."""
+    num + den column, which gives the covariance by polarisation; expanded
+    this way, a num column equal to den (R = 1) gets exactly 0."""
     ratio = num / den
     var = ((1.0 + ratio) * se_num ** 2 - ratio * se_sum ** 2
            + (ratio + ratio ** 2) * se_den ** 2)
