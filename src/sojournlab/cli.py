@@ -37,6 +37,7 @@ MANIFEST_SCHEMA = "sojournlab-manifest-v1"
 MANIFEST_NAME = "run_manifest.json"
 BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
+SETTINGS = ExperimentSettings()  # the defaults of the _setting options
 
 
 class Opt:
@@ -84,6 +85,11 @@ class Opt:
         return val
 
 
+def _setting(field, typ, help):
+    """The option for ExperimentSettings.<field>, named in lower case."""
+    return Opt(field.lower(), typ, getattr(SETTINGS, field), help)
+
+
 SEMANTIC_GLOBALS = [
     Opt("seed", int, None, "base RNG seed; drawn once and recorded if omitted"),
 ]
@@ -102,7 +108,8 @@ SUBCOMMAND_OPTS = {
         Opt("drift_beta", float, 1.0, "drift exponent of axis 1"),
         Opt("drift2_b", float, 0.0, "drift coefficient of axis 2"),
         Opt("drift2_beta", float, 1.0, "drift exponent of axis 2"),
-        Opt("rule_s", float, 8.0, "domain half-size S of the 2D rule"),
+        Opt("rule_s", float, 8.0, "2D domain size S: each axis spans [0, S] "
+            "or [-S, S] by its drift"),
         Opt("n_grid_axis", int, 129, "grid points per 2D axis"),
         Opt("s_schedule", str, "4,8,16", "comma list of S values (limit fits)"),
         Opt("delta", float, 1.0 / 64, "grid step for limit estimators"),
@@ -133,18 +140,17 @@ SUBCOMMAND_OPTS = {
         Opt("c", float, 1.0, "queue service rate"),
         Opt("n_conditioned", int, 1000, "effective conditioned sample size "
             "per level (sum w)^2 / sum w^2; the kept count where w is 0/1"),
-        Opt("domain_t", float, 1.0, "observation window, axis 1"),
-        Opt("domain_t2", float, 1.0, "observation window, axis 2"),
-        Opt("points_per_v", int, 8, "grid nodes per local-scale unit"),
-        Opt("sim_batch", int, 20_000, "simulated replicates per chunk"),
-        Opt("max_sims", int, 8_000_000, "cap on simulated replicates per "
-            "level"),
-        Opt("target_s", float, 256.0, "domain for 1D long-run target curves"),
-        Opt("target_s_2d", float, 8.0, "domain for 2D target curves"),
-        Opt("target_samples", int, 100_000, "samples for target curves"),
-        Opt("queue_t", float, None, "fixed queue window in v(u) units; omit "
-            "for the long-window regime"),
-        Opt("queue_m", float, 16.0, "long-window length multiplier (queue)"),
+        _setting("domain_T", float, "observation window, axis 1"),
+        _setting("domain_T2", float, "observation window, axis 2"),
+        _setting("points_per_v", int, "grid nodes per local-scale unit"),
+        _setting("sim_batch", int, "simulated replicates per chunk"),
+        _setting("max_sims", int, "cap on simulated replicates per level"),
+        _setting("target_S", float, "domain for 1D long-run target curves"),
+        _setting("target_S_2d", float, "domain for 2D target curves"),
+        _setting("target_samples", int, "samples for target curves"),
+        _setting("queue_T", float, "fixed queue window in v(u) units; omit "
+                 "for the long-window regime"),
+        _setting("queue_M", float, "long-window length multiplier (queue)"),
     ],
     "double-sum": [
         Opt("family", str, "stationary-1d", "process family",
@@ -158,10 +164,10 @@ SUBCOMMAND_OPTS = {
         Opt("a2", float, 1.0, "axis-2 correlation scale"),
         Opt("alpha", float, 1.0, "axis-1 correlation exponent"),
         Opt("alpha2", float, 1.0, "axis-2 correlation exponent"),
-        Opt("domain_t", float, 1.0, "observation window, axis 1"),
-        Opt("domain_t2", float, 1.0, "observation window, axis 2"),
-        Opt("points_per_v", int, 8, "grid nodes per local-scale unit"),
-        Opt("sim_batch", int, 20_000, "simulated replicates per chunk"),
+        _setting("domain_T", float, "observation window, axis 1"),
+        _setting("domain_T2", float, "observation window, axis 2"),
+        _setting("points_per_v", int, "grid nodes per local-scale unit"),
+        _setting("sim_batch", int, "simulated replicates per chunk"),
     ],
     "oracle": [
         Opt("family", str, "parabola-sojourn", "closed-form family",
@@ -288,12 +294,9 @@ def _experiment_family(cfg):
 
 
 def _experiment_settings(cfg):
-    return ExperimentSettings(
-        domain_T=cfg["domain_t"], domain_T2=cfg["domain_t2"],
-        points_per_v=cfg["points_per_v"], sim_batch=cfg["sim_batch"],
-        max_sims=cfg["max_sims"], target_S=cfg["target_s"],
-        target_S_2d=cfg["target_s_2d"], target_samples=cfg["target_samples"],
-        queue_T=cfg["queue_t"], queue_M=cfg["queue_m"])
+    """ExperimentSettings from cfg's _setting options; the rest default."""
+    return ExperimentSettings(**{f: cfg[f.lower()] for f in vars(SETTINGS)
+                                 if f.lower() in cfg})
 
 
 def _run_experiment(cfg, workers):
@@ -333,9 +336,7 @@ def _run_experiment(cfg, workers):
 
 def _run_double_sum(cfg, workers):
     family = _experiment_family(cfg)
-    settings = ExperimentSettings(
-        domain_T=cfg["domain_t"], domain_T2=cfg["domain_t2"],
-        points_per_v=cfg["points_per_v"], sim_batch=cfg["sim_batch"])
+    settings = _experiment_settings(cfg)
     sched = _floats(cfg["n_schedule"])
     res = double_sum_diagnostic(family, cfg["u"], tuple(sched), cfg["seed"],
                                 settings=settings, n_sims=cfg["n_sims"],

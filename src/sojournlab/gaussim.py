@@ -28,9 +28,10 @@ import functools
 import math
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 from scipy.special import ndtr
 
-from .mc import ROW_BLOCK, ConfigError, NumericFailure, _scratch, generator
+from .mc import ConfigError, NumericFailure, _scratch, generator
 
 EIG_CLIP_REL = 1e-9          # clip threshold relative to the largest eigenvalue
 _PAD_FACTORS = (1, 2, 4, 8)  # embedding torus enlargements tried in order
@@ -374,31 +375,12 @@ def queue_batch(rng, m, spec, n_points, delta, u_ref):
 
 
 def sliding_max(y, width):
-    """Row-wise max over windows [i, i + width - 1], cut at the row end.
-
-    Van Herk two-pass: running maxima forward and backward within aligned
-    windows, in row blocks of ROW_BLOCK through two reused buffers, so the
-    temporaries stay a few blocks of rows whatever the number of rows.
-    """
-    m, L = y.shape
-    P = -(-L // width) * width
-    last = P - width + 1  # windows that end inside the padded row
-    out = np.empty((m, L))
-    fwd = np.empty((min(m, ROW_BLOCK), P))
-    bwd = np.empty_like(fwd)
-    for i in range(0, m, ROW_BLOCK):
-        k = min(ROW_BLOCK, m - i)
-        f, b = fwd[:k], bwd[:k]
-        f[:, :L] = y[i:i + k]
-        f[:, L:] = -np.inf
-        b[:] = f[:, ::-1]
-        for a in (f, b):
-            w3 = a.reshape(k, -1, width)
-            np.maximum.accumulate(w3, axis=2, out=w3)
-        back = b[:, ::-1]  # max from each column to the end of its window
-        np.maximum(back[:, :last], f[:, width - 1:], out=out[i:i + k, :last])
-        out[i:i + k, last:] = back[:, last:L]
-    return out
+    """Row-wise max over windows [i, i + width - 1], cut at the row end, as
+    a fresh array (scipy's maximum_filter1d, shifted to look ahead)."""
+    if width < 1:
+        raise ConfigError(f"sliding_max needs width >= 1, got {width}")
+    return maximum_filter1d(y, width, axis=1, origin=-(width // 2),
+                            mode="constant", cval=-np.inf)
 
 
 def chi_batch(rng, m, spec, n_points, delta):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from sojournlab import cli, mc
+from sojournlab.asymptotics import ExperimentSettings
 
 
 def _run(argv):
@@ -21,6 +22,19 @@ def _read_csv(path):
 def _read_manifest(out):
     with open(os.path.join(out, "run_manifest.json")) as fh:
         return json.load(fh)
+
+
+@pytest.mark.parametrize("sub,fields", [
+    ("run-experiment", ("domain_T", "domain_T2", "points_per_v", "sim_batch",
+                        "max_sims", "target_S", "target_S_2d",
+                        "target_samples", "queue_T", "queue_M")),
+    ("double-sum", ("domain_T", "domain_T2", "points_per_v", "sim_batch")),
+])
+def test_experiment_option_defaults_are_the_settings_defaults(sub, fields):
+    defaults = ExperimentSettings()
+    opts = {o.dest: o for o in cli.SUBCOMMAND_OPTS[sub]}
+    for field in fields:
+        assert opts[field.lower()].default == getattr(defaults, field), field
 
 
 def test_oracle_parabola_values(tmp_path, capsys):

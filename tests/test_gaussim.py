@@ -15,6 +15,7 @@ from sojournlab.gaussim import (QUEUE_LOOKAHEAD, Chi, DriftSpec, FbmW,
                                 normal_tail, queue_batch, simulate_fbm,
                                 sliding_max, stationary2d_batch,
                                 stationary_batch, w_field_batch)
+from sojournlab.mc import ConfigError
 
 
 def _rng(seed):
@@ -166,14 +167,26 @@ def test_queue_spec_validation():
 
 
 def test_sliding_max_matches_naive():
-    """Exactly, over several row blocks and a window wider than the row."""
+    """Exactly, on one row and on many, and for a window wider than the row.
+    The result is a new array and y is left as it was: queue_batch
+    subtracts from the result in place."""
     rng = _rng(4)
-    y = rng.standard_normal((150, 37))
-    for w in (1, 4, 11, 37, 40):
-        got = sliding_max(y, w)
-        want = np.array([[y[i, j:j + w].max() for j in range(37)]
-                         for i in range(150)])
-        assert np.array_equal(got, want), w
+    for y in (rng.standard_normal((150, 37)), rng.standard_normal((1, 37))):
+        y0 = y.copy()
+        for w in (1, 4, 11, 37, 40):
+            got = sliding_max(y, w)
+            want = np.array([[r[j:j + w].max() for j in range(37)]
+                             for r in y])
+            assert np.array_equal(got, want), w
+            assert not np.shares_memory(got, y)
+            assert np.array_equal(y, y0)
+
+
+def test_sliding_max_rejects_empty_window():
+    y = np.zeros((2, 5))
+    for w in (0, -1):
+        with pytest.raises(ConfigError, match="width"):
+            sliding_max(y, w)
 
 
 def test_simulate_fbm_deterministic():
@@ -346,8 +359,8 @@ def test_fbm_batch_peak_memory():
 
 
 def test_queue_batch_peak_memory():
-    """Sliding maxima add only row-block temporaries: the queue sampler
-    peaks near its circulant synthesis, not at 8x its path array."""
+    """The queue sampler peaks near its circulant synthesis, not at 8x its
+    path array."""
     spec = Queue(1.5, 1.0)
     w = int(math.ceil(QUEUE_LOOKAHEAD * spec.tau_star * 1.5 / 0.02))
     path_bytes = 2000 * (200 + w) * 8

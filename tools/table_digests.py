@@ -120,8 +120,10 @@ BRANCHES = [
 ]
 
 # experiment family routes the runs above miss: the 2-D double sum, the
-# independent-block control, the fixed-window queue target curve and a queue
-# level below 1, where the lookahead keeps its u >= 1 floor
+# independent-block control, the fixed-window queue target curve, a queue
+# level below 1, where the lookahead keeps its u >= 1 floor, and the
+# circulant alpha = 1.5 queue at u = 2, a wider lookahead than its u = 1.5
+# synthesis run
 FAMILIES = [
     "double-sum --family stationary-2d --u 2.5 --n-schedule 2,4 --n-sims 4000 "
     "--sim-batch 2000 --domain-t 2 --domain-t2 2 --seed 20",
@@ -133,6 +135,9 @@ FAMILIES = [
     "run-experiment --family queue --u 0.8 --x-grid 0,0.5,1 "
     "--n-conditioned 300 --sim-batch 2000 --max-sims 100000 "
     "--target-samples 2000 --seed 23",
+    "run-experiment --family queue --alpha 1.5 --u 2.0 --x-grid 0,0.5,1 "
+    "--n-conditioned 300 --sim-batch 2000 --max-sims 100000 "
+    "--target-samples 2000 --seed 28",
 ]
 
 # the chi README run again at --workers 2, and a multi-chunk queue run at
